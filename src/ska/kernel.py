@@ -2,11 +2,13 @@
 
 The compiled lane additionally bails out (OverflowError) on inputs whose
 scaled entropies could overflow int64 cross-products; the dispatcher then
-reruns the pure lane, which uses arbitrary-precision integers.
+reruns the pure lane, which uses arbitrary-precision integers, and logs
+that it did.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Sequence
 
 from . import _kernel_pure
@@ -16,6 +18,8 @@ try:
     from . import _kernel_fast  # type: ignore[attr-defined]
 except ImportError:  # extension not built; pure lane only
     _kernel_fast = None
+
+log = logging.getLogger(__name__)
 
 
 def has_fast_lane() -> bool:
@@ -42,5 +46,8 @@ def minimize_over_partitions(n: int, ent: Sequence[int], backend: str | None = N
         try:
             return _kernel_fast.minimize_over_partitions(n, ent)
         except OverflowError:
+            log.info(
+                "compiled lane overflowed on n=%d; rerunning the scan on the pure lane", n
+            )
             return _kernel_pure.minimize_over_partitions(n, ent)
     raise SkaError(f"unknown kernel backend {backend!r}")

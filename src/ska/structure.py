@@ -10,26 +10,37 @@ is submodular, vanishes on every singleton, and is nonnegative on nonempty
 sets. Its zero sets encode the whole optimal-partition family: unions of
 zero index sets are exactly the blocks of optimal partitions, together with
 the full ground set. That correspondence turns questions about all optimal
-partitions at once (maximal blocks, uniqueness) into submodular function
-minimizations over interval families.
+partitions at once (maximal blocks, uniqueness) into questions about the
+zero sets of g.
+
+Both answers come, by default, from one exact integer pass over the 2^ell
+block-index sets (:func:`zero_sets`); ell never exceeds the ground-set size,
+and the default MMI enumeration cap sits below the zero-set cap. The same
+questions can also be asked as submodular function minimizations over
+interval families, solved by the min-norm-point method (``method="greedy"``
+and ``method="sfm"``); that route is kept as the independently tested twin.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
 from .errors import ConsistencyError, EnumerationLimitError, SkaError
-from .mmi import MmiResult
+from .mmi import MmiResult, scaled_entropies
 from .partitions import Partition
 from .source_model import SourceModel, UserSet
 from .submodular import (
     LatticeFamily,
+    MnpResult,
     SetFunctionOracle,
     minimize_bruteforce,
     minimize_mnp,
 )
+
+log = logging.getLogger(__name__)
 
 ZERO_SET_ENUMERATION_CAP = 20
 
@@ -129,12 +140,43 @@ def g_rounding_unit(source: SourceModel, ell: int) -> Fraction:
 
 def zero_sets(g: ZssFunction, *, cap: int = ZERO_SET_ENUMERATION_CAP) -> tuple[int, ...]:
     """All index sets with ``g == 0``, ascending; by construction this
-    includes the empty set, every singleton and the full index set."""
-    if g.ell > cap:
+    includes the empty set, every singleton and the full index set.
+
+    One pass in exact integers: with the entropies scaled to integers and
+    multiplied by the denominator D of gamma, ``g * D`` is an integer. Each
+    index set B extends ``B ^ lowbit(B)`` by one block, so its union mask
+    and its sum of block residuals cost one step each.
+    """
+    ell = g.ell
+    if ell > cap:
         raise EnumerationLimitError(
-            f"{g.ell} fundamental blocks exceed the zero-set enumeration cap {cap}"
+            f"{ell} fundamental blocks exceed the zero-set enumeration cap {cap}"
         )
-    return tuple(b for b in range(1 << g.ell) if g.value(b) == 0)
+    ent, scale = scaled_entropies(g.source)
+    den = g.gamma.denominator
+    gamma_d = g.gamma.numerator * scale
+    blocks = g.block_masks
+    residuals = [ent[mask] * den - gamma_d for mask in blocks]
+    union = [0] * (1 << ell)
+    residual_sum = [0] * (1 << ell)
+    found = [0]
+    for b in range(1, 1 << ell):
+        low = b & -b
+        rest = b ^ low
+        i = low.bit_length() - 1
+        u = union[b] = union[rest] | blocks[i]
+        r = residual_sum[b] = residual_sum[rest] + residuals[i]
+        if ent[u] * den - gamma_d == r:
+            found.append(b)
+    return tuple(found)
+
+
+def _mnp_value(result: MnpResult) -> Fraction:
+    """The minimum of an MNP result, with its diagnostic logged rather than
+    dropped."""
+    if result.diagnostic is not None:
+        log.warning("min-norm-point minimization: %s", result.diagnostic)
+    return result.value
 
 
 def maximal_zero_set(
@@ -168,7 +210,7 @@ def maximal_zero_set(
         if method == "bruteforce":
             return minimize_bruteforce(oracle, family)[0]
         if method == "mnp":
-            return minimize_mnp(oracle, family, unit).value
+            return _mnp_value(minimize_mnp(oracle, family, unit))
         raise SkaError(f"unknown method {method!r}")
 
     if family_min(1 << seed) != 0:
@@ -236,15 +278,16 @@ class TMaxReport:
         )
 
 
-def t_max(source: SourceModel, result: MmiResult, *, method: str = "greedy") -> TMaxReport:
+def t_max(source: SourceModel, result: MmiResult, *, method: str = "zerosets") -> TMaxReport:
     """Compute the maximal optimal-partition blocks and classify the
     dichotomy.
 
     ``method="greedy"`` collects the maximal zero set for every ordered
     (exclude, seed) index pair — O(ell^2) greedy runs, so every maximal
     element is found regardless of insertion-order effects — plus the
-    fundamental blocks themselves. ``method="zerosets"`` derives the family
-    by full zero-set enumeration instead.
+    fundamental blocks themselves; each growth step is a min-norm-point
+    minimization. ``method="zerosets"`` (the default) derives the family
+    from the exact zero-set pass instead.
     """
     g = build_g(source, result)
     ell = g.ell
@@ -266,10 +309,13 @@ def t_max(source: SourceModel, result: MmiResult, *, method: str = "greedy") -> 
     else:
         raise SkaError(f"unknown method {method!r}")
 
-    maximal = sorted(
-        (m for m in candidates if not any(m != o and m & ~o == 0 for o in candidates)),
-        key=lambda m: (m & -m, m),
-    )
+    # Largest first: a non-maximal candidate sits inside a maximal one,
+    # which has more members and so is already kept when it is reached.
+    maximal: list[int] = []
+    for m in sorted(candidates, key=_popcount, reverse=True):
+        if not any(m & ~o == 0 for o in maximal):
+            maximal.append(m)
+    maximal.sort(key=lambda m: (m & -m, m))
     return _classify(source.users, result, tuple(maximal))
 
 
@@ -303,7 +349,9 @@ def _classify(users: UserSet, result: MmiResult, maximal: tuple[int, ...]) -> TM
     return TMaxReport(users=users, t_max=maximal, case="T2", complement_family=complements)
 
 
-def is_unique_optimal(source: SourceModel, result: MmiResult, *, method: str = "sfm") -> bool:
+def is_unique_optimal(
+    source: SourceModel, result: MmiResult, *, method: str = "zerosets"
+) -> bool:
     """True when the fundamental partition is the only optimal partition,
     i.e. the zero sets of g are just the singletons (plus the empty and full
     index sets, which are zero identically).
@@ -311,7 +359,8 @@ def is_unique_optimal(source: SourceModel, result: MmiResult, *, method: str = "
     ``method="sfm"`` checks, for every index pair {i, j} and every third
     index k, that g stays positive over ``{B : {i,j} <= B <= [ell] - {k}}``;
     excluding k is what removes the always-zero full index set from the
-    family. ``method="zerosets"`` inspects the enumerated zero sets.
+    family; each check is a min-norm-point minimization.
+    ``method="zerosets"`` (the default) inspects the exact zero-set pass.
     """
     g = build_g(source, result)
     ell = g.ell
@@ -331,7 +380,7 @@ def is_unique_optimal(source: SourceModel, result: MmiResult, *, method: str = "
                 if pair >> k & 1:
                     continue
                 family = LatticeFamily(pair, full_idx & ~(1 << k))
-                if minimize_mnp(oracle, family, unit).value == 0:
+                if _mnp_value(minimize_mnp(oracle, family, unit)) == 0:
                     return False
     return True
 

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import EnumerationLimitError, SkaError
 
 log = logging.getLogger(__name__)
@@ -151,6 +149,8 @@ def minimize_mnp(
     ``f`` lies on the grid ``{k * rounding_unit}``; it calibrates the
     certificate threshold (residual below ``rounding_unit / 4``).
     """
+    import numpy as np  # only the solver needs it; keeps it off the import path
+
     unit = Fraction(rounding_unit)
     if unit <= 0:
         raise SkaError("rounding unit must be positive")
@@ -245,6 +245,7 @@ def _wolfe_min_norm_point(
     10 * 2**m; hitting it (or a degenerate stall) reports non-convergence so
     the caller can fall back to brute force.
     """
+    import numpy as np
 
     def vertex_for(weights: np.ndarray) -> np.ndarray:
         order = np.argsort(weights, kind="stable")
@@ -312,6 +313,8 @@ def _affine_min_norm(vertices: np.ndarray) -> np.ndarray:
     """Coefficients of the norm-minimal point in the affine hull of the
     columns, via the normal equations (least-squares re-solve on numerical
     failure)."""
+    import numpy as np
+
     k = vertices.shape[1]
     kkt = np.zeros((k + 1, k + 1))
     kkt[:k, :k] = vertices.T @ vertices

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from ska.cli import main
 
-from .conftest import CORPUS
+from .conftest import CORPUS, REPO_ROOT
 
 CORPUS_FILES = [
     "base3",
@@ -187,3 +190,14 @@ def test_conjecture_batch_is_deterministic(runner):
 def test_conjecture_requires_source_or_batch(runner):
     result = runner.invoke(main, ["conjecture"])
     assert result.exit_code == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is needed only by the min-norm-point solver
+    path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = "import sys, ska.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -107,3 +107,17 @@ def test_scaled_entropies_clears_denominators():
     ent, scale = scaled_entropies(source)
     for mask in range(1 << 4):
         assert Fraction(ent[mask], scale) == source.entropy_mask(mask)
+
+
+def test_fast_lane_overflow_reruns_pure_lane_and_logs(monkeypatch, caplog):
+    class Overflowing:
+        @staticmethod
+        def minimize_over_partitions(n, ent):
+            raise OverflowError("int64 cross-product")
+
+    monkeypatch.setattr(kernel, "_kernel_fast", Overflowing)
+    ent = coverage_entropies(None, 4, [(0b0011, 2), (0b0110, 1), (0b1100, 3)])
+    with caplog.at_level("INFO", logger="ska.kernel"):
+        got = kernel.minimize_over_partitions(4, ent, backend="fast")
+    assert got == pure_scan(4, ent)
+    assert "pure lane" in caplog.text

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import ska.structure as structure
 from ska import (
+    EntropyTable,
     Partition,
     SkaError,
     TMaxReport,
@@ -17,7 +19,8 @@ from ska import (
     zero_sets,
 )
 from ska.errors import EnumerationLimitError
-from ska.random_instances import random_hypergraphical
+from ska.random_instances import random_hypergraphical, random_tree_pin
+from ska.submodular import MnpResult
 
 from .conftest import users
 
@@ -28,6 +31,35 @@ def bits(mask):
 
 def popcount(mask):
     return bin(mask).count("1")
+
+
+def coverage_plus_rank_table(rng, n):
+    """Entropy table ``coverage(S) + c * min(|S & W|, r)`` with ``|W| >= 3``
+    and ``1 < r < |W|``: a valid entropy function whose uniform-matroid term
+    is not a coverage function. ``W`` may be the whole ground set, the form
+    the non-coverage tables elsewhere use; a smaller ``W`` over a tree keeps
+    some optimal partitions tied."""
+    cover = random_tree_pin(rng, n) if rng.random() < 0.5 else random_hypergraphical(rng, n)
+    w = rng.choice([m for m in range(1 << n) if popcount(m) >= 3])
+    c = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+    r = rng.randint(2, popcount(w) - 1)
+    values = tuple(
+        cover.entropy_mask(m) + c * min(popcount(m & w), r) for m in range(1 << n)
+    )
+    return EntropyTable(cover.users, values)
+
+
+def mixed_sources(seed, count):
+    """Random hypergraphs and non-coverage tables, alternating, n = 3..6."""
+    rng = random.Random(seed)
+    sources = []
+    for k in range(count):
+        n = rng.randint(3, 6)
+        if k % 2:
+            sources.append(coverage_plus_rank_table(rng, n))
+        else:
+            sources.append(random_hypergraphical(rng, n))
+    return sources
 
 
 # ---------------------------------------------------------------- g values
@@ -65,6 +97,14 @@ def test_tree_zero_sets_exactly_the_interval_family(tree4):
 def test_pair_only_zero_sets(pair_only):
     g = build_g(pair_only, mmi(pair_only))
     assert zero_sets(g) == (0b00, 0b01, 0b10, 0b11)
+
+
+def test_zero_set_pass_matches_the_definition():
+    # the integer pass against g evaluated one index set at a time
+    for source in mixed_sources(67, 40):
+        assert source.validate().ok
+        g = build_g(source, mmi(source))
+        assert zero_sets(g) == tuple(b for b in range(1 << g.ell) if g.value(b) == 0)
 
 
 def test_zero_sets_cap():
@@ -219,7 +259,7 @@ def test_tmax_methods_and_direct_oracle_agree():
     for _ in range(25):
         source = random_hypergraphical(rng, rng.randint(3, 6))
         result = mmi(source)
-        greedy = t_max(source, result)
+        greedy = t_max(source, result, method="greedy")
         from_zero = t_max(source, result, method="zerosets")
         assert (greedy.t_max, greedy.case) == (from_zero.t_max, from_zero.case)
         assert greedy.coarsest_optimal == from_zero.coarsest_optimal
@@ -300,9 +340,48 @@ def test_uniqueness_sfm_agrees_with_zero_sets_and_partition_count():
     for _ in range(25):
         source = random_hypergraphical(rng, rng.randint(3, 6))
         result = mmi(source)
-        via_sfm = is_unique_optimal(source, result)
+        via_sfm = is_unique_optimal(source, result, method="sfm")
         via_sets = is_unique_optimal(source, result, method="zerosets")
         assert via_sfm == via_sets == (len(result.optimal_partitions) == 1)
+
+
+def test_default_structure_matches_the_mnp_twins_on_tables_and_hypergraphs():
+    table_cases = set()
+    for source in mixed_sources(113, 40):
+        result = mmi(source)
+        default = t_max(source, result)
+        greedy = t_max(source, result, method="greedy")
+        assert default == greedy
+        unique = is_unique_optimal(source, result)
+        assert unique == is_unique_optimal(source, result, method="sfm")
+        assert unique == (len(result.optimal_partitions) == 1)
+        if isinstance(source, EntropyTable):
+            table_cases.add((unique, default.case))
+    # the tables reach a unique optimum and both cases of a tied one
+    assert table_cases == {(True, "T1"), (False, "T1"), (False, "T2")}
+
+
+def test_mnp_diagnostic_is_logged_not_dropped(monkeypatch, caplog, overlap3):
+    def flagged(oracle, family, unit):
+        return MnpResult(
+            value=Fraction(1),
+            minimizer=family.lower,
+            certified=False,
+            fallback=True,
+            iterations=0,
+            diagnostic="non-submodular behavior suspected",
+        )
+
+    monkeypatch.setattr(structure, "minimize_mnp", flagged)
+    result = mmi(overlap3)
+    g = build_g(overlap3, result)
+    with caplog.at_level("WARNING", logger="ska.structure"):
+        assert maximal_zero_set(g, 0, 1) is None
+    assert "non-submodular behavior suspected" in caplog.text
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="ska.structure"):
+        assert is_unique_optimal(overlap3, result, method="sfm") is True
+    assert "non-submodular behavior suspected" in caplog.text
 
 
 def test_two_block_fundamental_is_always_unique(pair_only):
