@@ -11,7 +11,12 @@ T1/T2 dichotomy turns into an explicit construction.
 
 Each closed-form route keeps a brute-force twin
 (:func:`critical_edges_bruteforce`, :func:`perturbation_verify`) so the two
-can be pitted against each other, exactly, in tests.
+can be pitted against each other, exactly, in tests. The replays behind
+:func:`perturbation_verify` do not rerun :func:`ska.mmi.mmi` on the
+perturbed source: each builds the perturbed integer table from the base
+table, takes gamma from the subset core :func:`ska.mmi.mmi_core`, and, at
+the default step, checks containment of the optimal set on zero sets of g
+(:func:`ska.structure.zero_set_pass`).
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingEdgeError, SkaError
-from .mmi import MmiResult, mmi
+# ``mmi`` is not called here; it stays bound because ``perfbench`` wraps
+# ``analysis.mmi`` to count calls made from this module.
+from .mmi import MmiResult, mmi, mmi_core, scaled_entropies  # noqa: F401
 from .rationals import format_rational, parse_rational
 from .source_model import HypergraphicalSource, SourceModel, UserSet
-from .structure import TMaxReport, t_max
+from .structure import TMaxReport, t_max, zero_set_pass
 
 
 def growth_rate(source: SourceModel, result: MmiResult, subset) -> Fraction:
@@ -358,7 +365,6 @@ def perturbation_verify(
     mode: str = "increment",
     *,
     epsilon=None,
-    backend: str | None = None,
 ) -> PerturbationVerdict:
     """Replay a growth or loss rate against a real perturbed source.
 
@@ -370,6 +376,11 @@ def perturbation_verify(
     least three users the quotient is additionally replayed at the step
     ``1 / ((n - 1)(n - 2))``, which the value grid guarantees to stay below
     the gap.
+
+    Each replay runs the subset core (:func:`ska.mmi.mmi_core`) on the
+    perturbed integer table, not :func:`ska.mmi.mmi`: it needs gamma of the
+    perturbed source and, at the default step only, the containment of its
+    optimal partitions, which is decided on zero sets.
     """
     users = source.users
     mask = users.as_mask(subset)
@@ -395,12 +406,13 @@ def perturbation_verify(
                 f"of entropy {eps}"
             )
 
-    measured, contained = _measured_rate(source, result, mask, mode, eps, backend)
+    table = scaled_entropies(source)
+    measured, contained = _measured_rate(table, result, mask, mode, eps, containment=auto)
     granularity = None
     if auto and source.is_integral() and users.n >= 3 and mask:
         eps_v = Fraction(1, (users.n - 1) * (users.n - 2))
         if mode == "increment" or eps_v <= source.has_edge(mask):
-            measured_v, _ = _measured_rate(source, result, mask, mode, eps_v, backend)
+            measured_v, _ = _measured_rate(table, result, mask, mode, eps_v)
             granularity = GranularityCheck(
                 epsilon=eps_v, measured_rate=measured_v, ok=measured_v == formula
             )
@@ -417,17 +429,45 @@ def perturbation_verify(
     )
 
 
-def _measured_rate(source, result, mask, mode, eps, backend):
-    if mode == "increment":
-        perturbed = source.increment(mask, eps) if mask else source
-        new = mmi(perturbed, backend=backend) if mask else result
-        measured = (new.gamma - result.gamma) / eps
-    else:
-        perturbed = source.decrement(mask, eps)
-        new = mmi(perturbed, backend=backend)
-        measured = (result.gamma - new.gamma) / eps
-    contained = set(new.optimal_partitions) <= set(result.optimal_partitions)
-    return measured, contained
+def _measured_rate(table, result, mask, mode, eps, *, containment=False):
+    """Difference quotient of gamma under the perturbation, and (only when
+    ``containment`` is asked) whether the perturbed optimal partitions were
+    all optimal already; ``table`` is ``scaled_entropies`` of the source."""
+    sign = 1 if mode == "increment" else -1
+    new_table = _perturbed_table(table, mask, sign * eps)
+    gamma, blocks = mmi_core(new_table[0])
+    measured = sign * (gamma / new_table[1] - result.gamma) / eps
+    if not containment:
+        return measured, None
+    return measured, _optimal_set_contained(table, result, new_table, gamma, blocks)
+
+
+def _perturbed_table(table, mask, delta: Fraction):
+    """``scaled_entropies`` of the source with ``delta`` added to H(A) for
+    every A meeting ``mask``, as ``(ent, scale)``: the base table times the
+    denominator of delta, plus its scaled numerator."""
+    ent, scale = table
+    k = delta.denominator
+    e = delta.numerator * scale
+    return [k * v + e if a & mask else k * v for a, v in enumerate(ent)], k * scale
+
+
+def _optimal_set_contained(table, result, new_table, new_gamma, new_blocks) -> bool:
+    """True when every optimal partition of the perturbed source is optimal
+    for the original one.
+
+    Optimal partitions coarsen the fundamental partition, and one is optimal
+    iff each of its blocks is the union of a zero set of g. So containment
+    holds iff the union of every nonempty, non-full zero set of the new g is
+    a zero-set union of the old g. ``new_gamma`` is in the units of
+    ``new_table``.
+    """
+    ent, scale = table
+    found, union = zero_set_pass(ent, result.gamma * scale, result.fundamental.blocks)
+    old = {union[b] for b in found}
+    found, union = zero_set_pass(new_table[0], new_gamma, new_blocks)
+    full = (1 << len(new_blocks)) - 1
+    return all(union[b] in old for b in found if 0 < b < full)
 
 
 @dataclass(frozen=True)

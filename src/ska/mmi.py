@@ -6,13 +6,18 @@ The multivariate mutual information (MMI) of a source is
              I_P = (sum over blocks C of H(Z_C) - H(Z_V)) / (|P| - 1),
 
 and equals the secrecy capacity of the corresponding secret key agreement
-problem without helpers. One exact enumeration pass yields the minimum, the
-set of all minimizing partitions, the unique finest minimizer (the
-fundamental partition), and the optimality gap that bounds how far the
-source can be perturbed without reshuffling the minimizers.
+problem without helpers. Two exact routes compute it:
+
+* :func:`mmi`, one enumeration pass over all Bell(n) partitions, yields the
+  minimum, the set of all minimizing partitions, the unique finest minimizer
+  (the fundamental partition), and the optimality gap that bounds how far
+  the source can be perturbed without reshuffling the minimizers;
+* :func:`mmi_core` yields gamma and the fundamental partition only, by
+  Dinkelbach iteration over Dilworth truncations at 2^n per step. Callers
+  that need nothing else (the ``verify`` replays) use it directly.
 
 Internally the entropies are rescaled to integers (the least common multiple
-of the value denominators) so the scan works in integer arithmetic; gamma
+of the value denominators) so both routes work in integer arithmetic; gamma
 and the gap are converted back to exact rationals at the end.
 """
 
@@ -114,6 +119,48 @@ def scaled_entropies(source: SourceModel) -> tuple[list[int], int]:
             raise ConsistencyError("denominator scale did not clear a value")
         ent.append(v.numerator)
     return ent, scale
+
+
+def mmi_core(ent: list[int]) -> tuple[Fraction, tuple[int, ...]]:
+    """gamma and the fundamental partition from an integer entropy table.
+
+    ``ent[mask]`` is a scaled entropy (as from :func:`scaled_entropies`) of a
+    valid source; the returned gamma is in the same units. Dinkelbach
+    iteration over Dilworth truncations: for lambda = p/q, the step
+    ``x_j = min over B within users 0..j-1 of q*h(B+j) - p - x(B)`` runs
+    over 2^n subsets in all, and merging j with every block that meets the
+    least minimiser yields the finest partition minimising
+    ``sum over blocks C of (q*h(C) - p)``. Starting from I_P of the
+    singletons, lambda moves to I_P of that partition until the minimum is
+    ``q*h(V) - p``; then lambda is gamma and the partition is fundamental.
+    """
+    n = len(ent).bit_length() - 1
+    full = (1 << n) - 1
+    p, q = sum(ent[1 << i] for i in range(n)) - ent[full], n - 1
+    while True:
+        xs = [0]
+        blocks: list[int] = []
+        for j in range(n):
+            bit = 1 << j
+            row = [q * ent[bit | b] - x for b, x in enumerate(xs)]
+            low = min(row)
+            least = full
+            for b, v in enumerate(row):
+                if v == low:
+                    least &= b
+            merged = bit
+            kept = []
+            for block in blocks:
+                if block & least:
+                    merged |= block
+                else:
+                    kept.append(block)
+            blocks = kept + [merged]
+            x_j = low - p
+            xs += [x + x_j for x in xs]
+        if xs[full] == q * ent[full] - p:
+            return Fraction(p, q), tuple(sorted(blocks, key=lambda m: m & -m))
+        p, q = sum(ent[b] for b in blocks) - ent[full], len(blocks) - 1
 
 
 def mmi(source: SourceModel, *, cap: int | None = None, backend: str | None = None) -> MmiResult:

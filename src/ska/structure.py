@@ -142,10 +142,7 @@ def zero_sets(g: ZssFunction, *, cap: int = ZERO_SET_ENUMERATION_CAP) -> tuple[i
     """All index sets with ``g == 0``, ascending; by construction this
     includes the empty set, every singleton and the full index set.
 
-    One pass in exact integers: with the entropies scaled to integers and
-    multiplied by the denominator D of gamma, ``g * D`` is an integer. Each
-    index set B extends ``B ^ lowbit(B)`` by one block, so its union mask
-    and its sum of block residuals cost one step each.
+    One exact integer pass (:func:`zero_set_pass`) over the scaled table.
     """
     ell = g.ell
     if ell > cap:
@@ -153,9 +150,24 @@ def zero_sets(g: ZssFunction, *, cap: int = ZERO_SET_ENUMERATION_CAP) -> tuple[i
             f"{ell} fundamental blocks exceed the zero-set enumeration cap {cap}"
         )
     ent, scale = scaled_entropies(g.source)
-    den = g.gamma.denominator
-    gamma_d = g.gamma.numerator * scale
-    blocks = g.block_masks
+    found, _ = zero_set_pass(ent, g.gamma * scale, g.block_masks)
+    return tuple(found)
+
+
+def zero_set_pass(
+    ent: list[int], gamma: Fraction, blocks: tuple[int, ...]
+) -> tuple[list[int], list[int]]:
+    """Zero index sets of g over ``blocks``, ascending, and the union mask
+    of every index set.
+
+    ``ent`` is an integer entropy table and ``gamma`` is in its units.
+    Multiplied by the denominator D of gamma, ``g * D`` is an integer. Each
+    index set B extends ``B ^ lowbit(B)`` by one block, so its union mask
+    and its sum of block residuals cost one step each.
+    """
+    ell = len(blocks)
+    den = gamma.denominator
+    gamma_d = gamma.numerator
     residuals = [ent[mask] * den - gamma_d for mask in blocks]
     union = [0] * (1 << ell)
     residual_sum = [0] * (1 << ell)
@@ -168,7 +180,7 @@ def zero_sets(g: ZssFunction, *, cap: int = ZERO_SET_ENUMERATION_CAP) -> tuple[i
         r = residual_sum[b] = residual_sum[rest] + residuals[i]
         if ent[u] * den - gamma_d == r:
             found.append(b)
-    return tuple(found)
+    return found, union
 
 
 def _mnp_value(result: MnpResult) -> Fraction:

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the production code paths they are used
 to check: ``mmi_reference`` evaluates partition rates directly with exact
 fractions (no integer rescaling, no kernel), and ``ip_by_edge_crossings``
-recomputes partition rates from edge-crossing counts instead of entropies.
+recomputes partition rates from edge-crossing counts instead of entropies,
+and ``measured_rate_by_rescan`` replays a perturbation with a full ``mmi``
+instead of the subset core.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from ska import (
     WeightedEdge,
     enumerate_partitions,
     i_p,
+    mmi,
     pin_source,
 )
 
@@ -89,6 +92,18 @@ def mmi_reference(source):
     finest = max(optimal, key=lambda p: p.n_blocks)
     assert all(finest.refines(p) for p in optimal)
     return gamma, optimal, finest, gap
+
+
+def measured_rate_by_rescan(source, result, mask, mode, eps):
+    """Replay oracle: the full ``mmi`` of the perturbed source, and
+    containment as a comparison of the two optimal-partition sets."""
+    if mode == "increment":
+        new = mmi(source.increment(mask, eps)) if mask else result
+        measured = (new.gamma - result.gamma) / eps
+    else:
+        new = mmi(source.decrement(mask, eps))
+        measured = (result.gamma - new.gamma) / eps
+    return measured, set(new.optimal_partitions) <= set(result.optimal_partitions)
 
 
 def ip_by_edge_crossings(source: HypergraphicalSource, partition: Partition) -> Fraction:

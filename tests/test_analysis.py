@@ -6,6 +6,7 @@ import pytest
 from ska import (
     CriticalEdgeReport,
     GrowthCurve,
+    HypergraphicalSource,
     MissingEdgeError,
     PerturbationVerdict,
     SkaError,
@@ -21,9 +22,22 @@ from ska import (
     perturbation_verify,
     t_max,
 )
-from ska.random_instances import random_hypergraphical, random_tree_pin
+from ska.analysis import _measured_rate, _optimal_set_contained, _perturbed_table
+from ska.mmi import mmi_core, scaled_entropies
+from ska.random_instances import (
+    random_hypergraphical,
+    random_non_coverage_table,
+    random_pin,
+    random_tree_pin,
+)
 
-from .conftest import hyper, map_partition, relabel_hypergraph
+from .conftest import (
+    hyper,
+    map_partition,
+    measured_rate_by_rescan,
+    random_batch,
+    relabel_hypergraph,
+)
 
 
 def popcount(mask):
@@ -291,6 +305,49 @@ def test_oversized_step_breaks_the_identity_and_is_reported(tree4):
     # quotient is (3/2 - 1)/10, far below the infinitesimal rate 1/3
     assert verdict.measured_rate == Fraction(1, 20)
     assert not verdict.ok
+    # the explicit step skips the containment check; asked directly, the
+    # zero-set test sees the new optimum {1,4}|{2}|{3}, which was not optimal
+    table = scaled_entropies(tree4)
+    new_table = _perturbed_table(table, 0b1001, Fraction(10))
+    gamma, blocks = mmi_core(new_table[0])
+    assert not _optimal_set_contained(table, result, new_table, gamma, blocks)
+    assert measured_rate_by_rescan(tree4, result, 0b1001, "increment", 10) == (
+        Fraction(1, 20),
+        False,
+    )
+
+
+def test_replays_match_the_rescan_oracle():
+    """The subset-core replay equals ``mmi`` of the perturbed source on the
+    measured rate and the containment verdict, at the default step, the
+    integer-grid step and two oversized steps, for increments on
+    hypergraphs, PINs and non-coverage tables and for decrements of every
+    edge. The step 3/2 often leaves gamma fractional in the perturbed
+    table's units while the optimal set changes."""
+    rng = random.Random(37)
+    sources = random_batch(41, 10, sizes=(3, 4, 5), max_edges=5)
+    sources += [random_pin(rng, rng.randint(3, 5)) for _ in range(4)]
+    sources += [random_non_coverage_table(rng, rng.randint(3, 5)) for _ in range(5)]
+    outcomes = set()
+    for source in sources:
+        result = mmi(source)
+        table = scaled_entropies(source)
+        n = source.users.n
+        auto = result.gap / 2 if result.gap is not None else Fraction(1)
+        steps = (auto, Fraction(1, (n - 1) * (n - 2)), 4 * auto + 3, Fraction(3, 2))
+        jobs = [(mask, "increment", eps) for mask in range(1 << n) for eps in steps]
+        if isinstance(source, HypergraphicalSource):
+            for mask in set(source.edge_masks):
+                weight = source.has_edge(mask)
+                if weight > 0:
+                    jobs += [(mask, "decrement", min(eps, weight)) for eps in steps]
+        for mask, mode, eps in jobs:
+            expected = measured_rate_by_rescan(source, result, mask, mode, eps)
+            assert _measured_rate(table, result, mask, mode, eps, containment=True) == expected
+            assert _measured_rate(table, result, mask, mode, eps) == (expected[0], None)
+            outcomes.add((eps == auto, expected[1]))
+    # the default step always contains; the other steps reach both verdicts
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_rate_formulas_match_perturbation_on_a_small_batch():

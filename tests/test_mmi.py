@@ -19,7 +19,13 @@ from ska import (
     residual_entropy,
     verify_fundamental,
 )
-from ska.random_instances import random_hypergraphical, random_tree_pin
+from ska.mmi import mmi_core, scaled_entropies
+from ska.random_instances import (
+    random_hypergraphical,
+    random_non_coverage_table,
+    random_pin,
+    random_tree_pin,
+)
 
 from .conftest import (
     hyper,
@@ -284,6 +290,60 @@ def test_tree_optimal_partitions_are_exactly_connected_block_partitions():
         assert result.fundamental == Partition.of(
             tree.users, tuple((lab,) for lab in tree.users.labels)
         )
+
+
+# ---------------------------------------------------------------- subset core
+
+def core(source):
+    """gamma and the fundamental partition from the subset core."""
+    ent, scale = scaled_entropies(source)
+    gamma, blocks = mmi_core(ent)
+    return gamma / scale, Partition(source.users, blocks)
+
+
+def test_subset_core_examples(tree4, base3, pair_only):
+    singletons = P(tree4.users, "1", "2", "3", "4")
+    assert core(tree4) == (1, singletons)
+    assert core(base3) == (1, P(base3.users, ("1", "2"), "3"))
+    assert core(pair_only) == (0, P(pair_only.users, ("1", "2"), "3"))
+    degenerate = hyper(3, (("1",), 0))
+    assert core(degenerate) == (0, P(degenerate.users, "1", "2", "3"))
+
+
+def test_subset_core_matches_scan_and_reference_on_400_sources():
+    """100 each of hypergraphs, PINs, trees and non-coverage tables at
+    n = 2..8 (tables from n = 3); the exact-fraction oracle runs up to
+    n = 6, where it stays cheap."""
+    rng = random.Random(61)
+    makers = (random_hypergraphical, random_pin, random_tree_pin, random_non_coverage_table)
+    checked = 0
+    for k in range(400):
+        make = makers[k % 4]
+        n = rng.randint(3 if make is random_non_coverage_table else 2, 8)
+        source = make(rng, n)
+        gamma, fundamental = core(source)
+        result = mmi(source)
+        assert (gamma, fundamental) == (result.gamma, result.fundamental)
+        if n <= 6:
+            ref_gamma, _, ref_finest, _ = mmi_reference(source)
+            assert (gamma, fundamental) == (ref_gamma, ref_finest)
+            checked += 1
+    assert checked >= 200
+
+
+@st.composite
+def core_sources(draw):
+    if draw(st.booleans()):
+        return draw(hypothesis_sources())
+    n = draw(st.integers(3, 6))
+    return random_non_coverage_table(random.Random(draw(st.integers(0, 2**32))), n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(core_sources())
+def test_subset_core_matches_oracle_on_generated_sources(source):
+    gamma, _, finest, _ = mmi_reference(source)
+    assert core(source) == (gamma, finest)
 
 
 # ---------------------------------------------------------------- encoding

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from ska import (
     pin_source,
     source_from_json_dict,
 )
+from ska.random_instances import random_hypergraphical, random_non_coverage_table
+from ska.source_model import ValidationReport, Violation
 
 from .conftest import hyper, users
 
@@ -81,6 +84,101 @@ def test_table_normalization_and_monotonicity_violations():
     assert any(v.kind == "normalization" for v in bad_empty.validate().violations)
     decreasing = EntropyTable.from_values(u, {("1",): 2, ("2",): 1, ("1", "2"): 1})
     assert any(v.kind == "monotonicity" for v in decreasing.validate().violations)
+
+
+def validate_all_pairs(table, max_violations=100):
+    """Test-side twin of ``EntropyTable.validate``: the same report from the
+    definitions, with submodularity checked on every non-nested pair."""
+    u = table.users
+    h = table.values
+    found = []
+
+    def labels(*masks):
+        return tuple(u.labels_of(m) for m in masks)
+
+    if h[0] != 0:
+        found.append(Violation("normalization", ((),), f"H(empty set) = {h[0]}, expected 0"))
+    for mask in range(1 << u.n):
+        for i in range(u.n):
+            bigger = mask | 1 << i
+            if bigger != mask and h[bigger] < h[mask]:
+                found.append(
+                    Violation(
+                        "monotonicity",
+                        labels(mask, bigger),
+                        f"H({{{u.subset_key(bigger)}}}) = {h[bigger]}"
+                        f" < H({{{u.subset_key(mask)}}}) = {h[mask]}",
+                    )
+                )
+                if len(found) >= max_violations:
+                    return ValidationReport(False, tuple(found))
+    for a in range(1 << u.n):
+        for b in range(a + 1, 1 << u.n):
+            if a & ~b and b & ~a and h[a] + h[b] < h[a | b] + h[a & b]:
+                found.append(
+                    Violation(
+                        "submodularity",
+                        labels(a, b),
+                        f"H(A) + H(B) = {h[a] + h[b]} < H(A|B) + H(A&B) = "
+                        f"{h[a | b] + h[a & b]} for A = {{{u.subset_key(a)}}}, "
+                        f"B = {{{u.subset_key(b)}}}",
+                    )
+                )
+                if len(found) >= max_violations:
+                    return ValidationReport(False, tuple(found))
+    return ValidationReport(not found, tuple(found))
+
+
+def test_local_validation_reports_match_the_all_pairs_twin():
+    rng = random.Random(23)
+    invalid = 0
+    for trial in range(60):
+        n = rng.randint(3, 6)
+        if trial % 2:
+            table = random_non_coverage_table(rng, n)
+        else:
+            cover = random_hypergraphical(rng, n)
+            table = EntropyTable(
+                cover.users, tuple(cover.entropy_mask(m) for m in range(1 << n))
+            )
+        assert table.validate() == validate_all_pairs(table)
+        assert table.validate().ok
+        values = list(table.values)
+        mask = rng.randrange(1 << n) if trial % 5 else 0
+        values[mask] += Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+        corrupted = EntropyTable(table.users, tuple(values))
+        report = corrupted.validate()
+        assert report == validate_all_pairs(corrupted)
+        assert corrupted.validate(max_violations=3) == validate_all_pairs(corrupted, 3)
+        invalid += not report.ok
+    assert invalid >= 40
+
+
+def moebius_weights(table):
+    """Edge weights w(T) with ``H(A) = sum of w(T) over T meeting A``, by
+    Moebius inversion of ``G(U) = H(V) - H(V - U)``; a table is a coverage
+    function exactly when every weight is nonnegative."""
+    n = table.users.n
+    full = (1 << n) - 1
+    w = [table.values[full] - table.values[full & ~u] for u in range(1 << n)]
+    for i in range(n):
+        for t in range(1 << n):
+            if t >> i & 1:
+                w[t] -= w[t ^ 1 << i]
+    return w
+
+
+def test_random_non_coverage_tables_are_valid_and_not_coverage():
+    rng = random.Random(29)
+    for _ in range(100):
+        table = random_non_coverage_table(rng, rng.randint(3, 7))
+        assert table.validate().ok
+        assert min(moebius_weights(table)) < 0
+    cover = random_hypergraphical(rng, 5)
+    as_table = EntropyTable(cover.users, tuple(cover.entropy_mask(m) for m in range(32)))
+    assert min(moebius_weights(as_table)) >= 0
+    with pytest.raises(ValueError):
+        random_non_coverage_table(rng, 2)
 
 
 # ---------------------------------------------------------------- increment

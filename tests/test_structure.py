@@ -19,7 +19,7 @@ from ska import (
     zero_sets,
 )
 from ska.errors import EnumerationLimitError
-from ska.random_instances import random_hypergraphical, random_tree_pin
+from ska.random_instances import random_hypergraphical, random_non_coverage_table
 from ska.submodular import MnpResult
 
 from .conftest import users
@@ -33,22 +33,6 @@ def popcount(mask):
     return bin(mask).count("1")
 
 
-def coverage_plus_rank_table(rng, n):
-    """Entropy table ``coverage(S) + c * min(|S & W|, r)`` with ``|W| >= 3``
-    and ``1 < r < |W|``: a valid entropy function whose uniform-matroid term
-    is not a coverage function. ``W`` may be the whole ground set, the form
-    the non-coverage tables elsewhere use; a smaller ``W`` over a tree keeps
-    some optimal partitions tied."""
-    cover = random_tree_pin(rng, n) if rng.random() < 0.5 else random_hypergraphical(rng, n)
-    w = rng.choice([m for m in range(1 << n) if popcount(m) >= 3])
-    c = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-    r = rng.randint(2, popcount(w) - 1)
-    values = tuple(
-        cover.entropy_mask(m) + c * min(popcount(m & w), r) for m in range(1 << n)
-    )
-    return EntropyTable(cover.users, values)
-
-
 def mixed_sources(seed, count):
     """Random hypergraphs and non-coverage tables, alternating, n = 3..6."""
     rng = random.Random(seed)
@@ -56,7 +40,7 @@ def mixed_sources(seed, count):
     for k in range(count):
         n = rng.randint(3, 6)
         if k % 2:
-            sources.append(coverage_plus_rank_table(rng, n))
+            sources.append(random_non_coverage_table(rng, n))
         else:
             sources.append(random_hypergraphical(rng, n))
     return sources
