@@ -34,7 +34,6 @@ from .errors import (
     SkaError,
     UnknownUserError,
 )
-from .kernel import available_backends, default_backend, has_fast_lane
 from .mmi import (
     DEFAULT_ENUMERATION_CAP,
     MmiResult,

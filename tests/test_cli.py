@@ -159,6 +159,18 @@ def test_failed_verification_identity_exits_3(runner):
     assert "FAILED" in result.output
 
 
+def test_default_enum_cap_rejects_a_13_user_path(runner, tmp_path):
+    path = tmp_path / "path13.json"
+    path.write_text(json.dumps({
+        "users": [str(i) for i in range(1, 14)],
+        "model": "hypergraph",
+        "edges": [{"members": [str(i), str(i + 1)], "weight": "1"} for i in range(1, 13)],
+    }))
+    result = runner.invoke(main, ["mmi", str(path)])
+    assert result.exit_code == 2
+    assert "cap of 12" in result.output
+
+
 def test_enum_cap_env_override(runner, monkeypatch):
     monkeypatch.setenv("SKA_ENUM_CAP", "3")
     result = runner.invoke(main, ["mmi", str(CORPUS / "tree.json")])

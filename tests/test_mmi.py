@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ska.kernel as kernel
 from ska import (
     EntropyTable,
     EnumerationLimitError,
@@ -122,6 +124,20 @@ def test_gap_can_be_infinite_beyond_two_users():
 def test_enumeration_cap_is_enforced(tree4):
     with pytest.raises(EnumerationLimitError):
         mmi(tree4, cap=3)
+
+
+def test_default_cap_fails_fast_at_13_users(monkeypatch):
+    mmi_module = importlib.import_module("ska.mmi")  # ``ska.mmi`` is the function
+
+    def no_scan(*args):
+        raise AssertionError("the cap must be checked before any scan")
+
+    monkeypatch.setattr(kernel, "minimize_over_partitions", no_scan)
+    monkeypatch.setattr(mmi_module, "scaled_entropies", no_scan)
+    path13 = pin_source([(i, i + 1, 1) for i in range(1, 13)])
+    assert path13.users.n == 13
+    with pytest.raises(EnumerationLimitError, match="cap of 12"):
+        mmi(path13)
 
 
 def test_mmi_on_entropy_table_source(base3):
