@@ -32,6 +32,7 @@ from .mmi import MmiResult, mmi, mmi_core, scaled_entropies  # noqa: F401
 from .rationals import format_rational, parse_rational
 from .source_model import HypergraphicalSource, SourceModel, UserSet
 from .structure import TMaxReport, t_max, zero_set_pass
+from .submodular import bit_positions
 
 
 def growth_rate(source: SourceModel, result: MmiResult, subset) -> Fraction:
@@ -210,20 +211,20 @@ def critical_edges(
         edges = {
             1 << i | 1 << j
             for block in rep.t_max
-            for i in _bits(block)
-            for j in _bits(full & ~block)
+            for i in bit_positions(block)
+            for j in bit_positions(full & ~block)
         }
         size = 2
     else:
         assert rep.complement_family is not None
         edges = set()
-        for combo in itertools.product(*(_bits(c) for c in rep.complement_family)):
+        for combo in itertools.product(*(bit_positions(c) for c in rep.complement_family)):
             mask = 0
             for i in combo:
                 mask |= 1 << i
             edges.add(mask)
         size = len(rep.t_max)
-    ordered = tuple(sorted(edges, key=lambda m: tuple(_bits(m))))
+    ordered = tuple(sorted(edges, key=bit_positions))
     return CriticalEdgeReport(users=users, edges=ordered, common_size=size, case=rep.case)
 
 
@@ -242,9 +243,9 @@ def critical_edges_bruteforce(source: SourceModel, result: MmiResult) -> tuple[i
     minimal = [
         mask
         for mask in qualifying
-        if not any(mask & ~(1 << i) in qualifying_set for i in _bits(mask))
+        if not any(mask & ~(1 << i) in qualifying_set for i in bit_positions(mask))
     ]
-    return tuple(sorted(minimal, key=lambda m: tuple(_bits(m))))
+    return tuple(sorted(minimal, key=bit_positions))
 
 
 def greedy_critical_edge(source: SourceModel, result: MmiResult) -> tuple[str, ...]:
@@ -537,7 +538,7 @@ def conjecture_check(
     entries = []
     for mask in rep.edges:
         rate = growth_rate(source, result, mask)
-        predicted = Fraction(len(_bits(mask)) - 1, ell - 1)
+        predicted = Fraction(mask.bit_count() - 1, ell - 1)
         entries.append(
             ConjectureEntry(
                 edge=source.users.labels_of(mask),
@@ -547,14 +548,3 @@ def conjecture_check(
             )
         )
     return ConjectureReport(entries=tuple(entries))
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)

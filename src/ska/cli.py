@@ -1,9 +1,11 @@
 """Command-line front end: load a source document, run analyses, report.
 
-Exit codes: 0 on success, 2 on bad input (malformed JSON, invalid source,
-inconsistent flags), 3 when a verification identity fails (which signals a
-bug in the analysis chain, not bad input). The ground-set cap for
-enumeration can be overridden with the SKA_ENUM_CAP environment variable.
+The click group is the one error boundary: every rejected input (a
+malformed document, an invalid source, a bad flag value, a non-integer
+SKA_ENUM_CAP, which overrides the ground-set cap for enumeration) raises
+``SkaError`` or ``OSError`` and ends as one ``error: ...`` line and exit
+code 2. Exit code 3 means a verification identity failed, which signals a
+bug in the analysis chain, not bad input.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 
 import click
 
-from . import analysis, structure
+from . import __version__, analysis, structure
 from .errors import SkaError
 from .mmi import MmiResult, mmi
 from .random_instances import random_hypergraphical, random_pin
@@ -33,16 +35,25 @@ FORMAT_OPTION = click.option(
 )
 
 
-@click.group()
-@click.version_option()
+class _ErrorBoundary(click.Group):
+    """Reports a rejected input as one ``error:`` line and exit code 2;
+    ``SystemExit`` passes through, so ``verify`` can still exit 3."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (SkaError, OSError) as exc:
+            if isinstance(exc, BrokenPipeError):
+                raise  # a closed stdout is not bad input; click quiets it
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_ErrorBoundary)
+@click.version_option(version=__version__)
 def main() -> None:
     """Analyze secret key agreement source models: MMI, optimal partitions,
     growth/loss rates, critical and excess edges."""
-
-
-def _fail(message: str, code: int = 2) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
 
 
 def _enum_cap() -> int | None:
@@ -52,34 +63,22 @@ def _enum_cap() -> int | None:
     try:
         return int(raw)
     except ValueError:
-        _fail(f"SKA_ENUM_CAP must be an integer, got {raw!r}")
-        raise AssertionError  # unreachable
+        raise SkaError(f"SKA_ENUM_CAP must be an integer, got {raw!r}") from None
 
 
-def _load_valid(path: str) -> SourceModel:
-    try:
-        source = load_source(path)
-    except (SkaError, OSError) as exc:
-        _fail(str(exc))
-        raise AssertionError
+def _load(path: str) -> tuple[SourceModel, MmiResult]:
+    """The source at ``path``, rejected unless valid, and its MMI."""
+    source = load_source(path)
     report = source.validate()
     if not report.ok:
-        _fail(f"{path} is not a valid source:\n{report}")
-    return source
-
-
-def _mmi(source: SourceModel) -> MmiResult:
-    try:
-        return mmi(source, cap=_enum_cap())
-    except SkaError as exc:
-        _fail(str(exc))
-        raise AssertionError
+        raise SkaError(f"{path} is not a valid source:\n{report}")
+    return source, mmi(source, cap=_enum_cap())
 
 
 def _parse_subset(raw: str) -> tuple[str, ...]:
     labels = tuple(part.strip() for part in raw.split(",") if part.strip())
     if not labels:
-        _fail(f"empty subset {raw!r}")
+        raise SkaError(f"empty subset {raw!r}")
     return labels
 
 
@@ -96,8 +95,7 @@ def _emit(fmt: str, payload: dict, text_lines: list[str]) -> None:
 @FORMAT_OPTION
 def mmi_command(source_path: str, fmt: str) -> None:
     """MMI value, fundamental partition and optimality gap."""
-    source = _load_valid(source_path)
-    result = _mmi(source)
+    _, result = _load(source_path)
     _emit(
         fmt,
         result.to_json_dict(),
@@ -115,8 +113,7 @@ def mmi_command(source_path: str, fmt: str) -> None:
 @FORMAT_OPTION
 def partitions_command(source_path: str, fmt: str) -> None:
     """All optimal partitions."""
-    source = _load_valid(source_path)
-    result = _mmi(source)
+    _, result = _load(source_path)
     lines = [f"gamma: {format_rational(result.gamma)}"]
     lines += [f"  {p}" for p in result.optimal_partitions]
     lines.append(f"fundamental: {result.fundamental}")
@@ -128,8 +125,7 @@ def partitions_command(source_path: str, fmt: str) -> None:
 @FORMAT_OPTION
 def critical_command(source_path: str, fmt: str) -> None:
     """Critical edges (minimal subsets whose boost raises the MMI)."""
-    source = _load_valid(source_path)
-    result = _mmi(source)
+    source, result = _load(source_path)
     report = analysis.critical_edges(source, result)
     greedy = analysis.greedy_critical_edge(source, result)
     lines = [
@@ -148,26 +144,17 @@ def critical_command(source_path: str, fmt: str) -> None:
 @FORMAT_OPTION
 def growth_command(source_path: str, k_max: int | None, subset: str | None, fmt: str) -> None:
     """Growth rates: the whole curve, or one subset with --set."""
-    source = _load_valid(source_path)
-    result = _mmi(source)
+    source, result = _load(source_path)
     if subset is not None:
         labels = _parse_subset(subset)
-        try:
-            rate = analysis.growth_rate(source, result, labels)
-        except SkaError as exc:
-            _fail(str(exc))
-            raise AssertionError
+        rate = analysis.growth_rate(source, result, labels)
         _emit(
             fmt,
             {"subset": list(labels), "growth_rate": format_rational(rate)},
             [f"growth rate of {{{','.join(labels)}}}: {format_rational(rate)}"],
         )
         return
-    try:
-        curve = analysis.growth_curve(source, result, k_max)
-    except SkaError as exc:
-        _fail(str(exc))
-        raise AssertionError
+    curve = analysis.growth_curve(source, result, k_max)
     lines = ["k  rate  witness"]
     for k, value in enumerate(curve.values):
         witness = ",".join(curve.witness_labels(k)) or "-"
@@ -181,15 +168,10 @@ def growth_command(source_path: str, k_max: int | None, subset: str | None, fmt:
 @FORMAT_OPTION
 def loss_command(source_path: str, edge: str, fmt: str) -> None:
     """Loss rate of an edge the source carries."""
-    source = _load_valid(source_path)
-    result = _mmi(source)
+    source, result = _load(source_path)
     labels = _parse_subset(edge)
-    try:
-        rate = analysis.loss_rate(source, result, labels)
-        excess = analysis.is_excess(source, result, labels)
-    except SkaError as exc:
-        _fail(str(exc))
-        raise AssertionError
+    rate = analysis.loss_rate(source, result, labels)
+    excess = analysis.is_excess(source, result, labels)
     _emit(
         fmt,
         {"edge": list(labels), "loss_rate": format_rational(rate), "excess": excess},
@@ -206,14 +188,9 @@ def loss_command(source_path: str, edge: str, fmt: str) -> None:
 @FORMAT_OPTION
 def excess_command(source_path: str, edge: str, fmt: str) -> None:
     """Whether an edge is excess (its marginal removal is free)."""
-    source = _load_valid(source_path)
-    result = _mmi(source)
+    source, result = _load(source_path)
     labels = _parse_subset(edge)
-    try:
-        excess = analysis.is_excess(source, result, labels)
-    except SkaError as exc:
-        _fail(str(exc))
-        raise AssertionError
+    excess = analysis.is_excess(source, result, labels)
     _emit(
         fmt,
         {"edge": list(labels), "excess": excess},
@@ -226,8 +203,7 @@ def excess_command(source_path: str, edge: str, fmt: str) -> None:
 @FORMAT_OPTION
 def tmax_command(source_path: str, fmt: str) -> None:
     """Maximal optimal-partition blocks and their dichotomy case."""
-    source = _load_valid(source_path)
-    result = _mmi(source)
+    source, result = _load(source_path)
     report = compute_t_max(source, result)
     lines = [
         f"case: {report.case}",
@@ -248,8 +224,7 @@ def tmax_command(source_path: str, fmt: str) -> None:
 @FORMAT_OPTION
 def unique_command(source_path: str, fmt: str) -> None:
     """Whether the fundamental partition is the only optimal partition."""
-    source = _load_valid(source_path)
-    result = _mmi(source)
+    source, result = _load(source_path)
     unique = structure.is_unique_optimal(source, result)
     _emit(
         fmt,
@@ -263,12 +238,7 @@ def unique_command(source_path: str, fmt: str) -> None:
 @FORMAT_OPTION
 def validate_command(source_path: str, fmt: str) -> None:
     """Check the source's entropy function axioms."""
-    try:
-        source = load_source(source_path)
-    except (SkaError, OSError) as exc:
-        _fail(str(exc))
-        raise AssertionError
-    report = source.validate()
+    report = load_source(source_path).validate()
     _emit(fmt, report.to_json_dict(), [str(report)])
     if not report.ok:
         sys.exit(2)
@@ -289,14 +259,11 @@ def verify_command(
     distinct edge of a hypergraphical source in decrement mode. Exits 3 when
     any identity fails.
     """
-    source = _load_valid(source_path)
-    result = _mmi(source)
-    eps = None
-    if epsilon is not None:
-        try:
-            eps = parse_rational(epsilon)
-        except ValueError as exc:
-            _fail(str(exc))
+    source, result = _load(source_path)
+    try:
+        eps = None if epsilon is None else parse_rational(epsilon)
+    except ValueError as exc:
+        raise SkaError(str(exc)) from None
     jobs: list[tuple[tuple[str, ...], str]] = []
     if subset is not None:
         jobs.append((_parse_subset(subset), "increment"))
@@ -307,18 +274,13 @@ def verify_command(
         for mask in range(1, 1 << users.n):
             jobs.append((users.labels_of(mask), "increment"))
         if isinstance(source, HypergraphicalSource):
-            seen = set()
-            for emask, e in zip(source.edge_masks, source.edges):
-                if emask not in seen and source.has_edge(emask) > 0:
-                    seen.add(emask)
+            for emask in dict.fromkeys(source.edge_masks):
+                if source.has_edge(emask) > 0:
                     jobs.append((users.labels_of(emask), "decrement"))
-    verdicts = []
-    for labels, mode in jobs:
-        try:
-            verdicts.append(analysis.perturbation_verify(source, result, labels, mode, epsilon=eps))
-        except SkaError as exc:
-            _fail(str(exc))
-            raise AssertionError
+    verdicts = [
+        analysis.perturbation_verify(source, result, labels, mode, epsilon=eps)
+        for labels, mode in jobs
+    ]
     payload = {"verdicts": [v.to_json_dict() for v in verdicts], "ok": all(v.ok for v in verdicts)}
     _emit(fmt, payload, [v.describe() for v in verdicts])
     if not payload["ok"]:
@@ -341,11 +303,10 @@ def conjecture_command(
     reported, never treated as failures.
     """
     if source_path is None and batch <= 0:
-        _fail("give a source, --batch N, or both")
+        raise SkaError("give a source, --batch N, or both")
     reports = []
     if source_path is not None:
-        source = _load_valid(source_path)
-        result = _mmi(source)
+        source, result = _load(source_path)
         reports.append((source_path, analysis.conjecture_check(source, result)))
     rng = random.Random(seed)
     for index in range(batch):
@@ -353,7 +314,7 @@ def conjecture_command(
             source = random_pin(rng, batch_users)
         else:
             source = random_hypergraphical(rng, batch_users)
-        result = _mmi(source)
+        result = mmi(source, cap=_enum_cap())
         reports.append((f"random[{index}]", analysis.conjecture_check(source, result)))
     holds = sum(r.counts[0] for _, r in reports)
     total = sum(r.counts[1] for _, r in reports)

@@ -68,19 +68,19 @@ def random_non_coverage_table(rng: random.Random, n: int) -> EntropyTable:
     if n < 3:
         raise ValueError("a non-coverage table needs at least 3 users")
     cover = random_tree_pin(rng, n) if rng.random() < 0.5 else random_hypergraphical(rng, n)
-    w = rng.choice([m for m in range(1 << n) if bin(m).count("1") >= 3])
+    w = rng.choice([m for m in range(1 << n) if m.bit_count() >= 3])
     c = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-    size = bin(w).count("1")
+    size = w.bit_count()
     r = rng.randint(2, size - 1)
     negative_size = size - r + 2
     edges = [
         (emask, e.weight)
         for emask, e in zip(cover.edge_masks, cover.edges)
-        if emask & ~w or bin(emask).count("1") != negative_size
+        if emask & ~w or emask.bit_count() != negative_size
     ]
     values = [
         sum((weight for emask, weight in edges if emask & m), Fraction(0))
-        + c * min(bin(m & w).count("1"), r)
+        + c * min((m & w).bit_count(), r)
         for m in range(1 << n)
     ]
     return EntropyTable(cover.users, tuple(values))

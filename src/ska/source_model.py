@@ -313,10 +313,13 @@ class EntropyTable(SourceModel):
     def from_values(cls, users: UserSet, values: Mapping) -> "EntropyTable":
         """Build from a mapping of subsets (masks or label iterables) to
         values. The empty set may be omitted and defaults to 0; every
-        nonempty subset must be present."""
+        nonempty subset must be present, once."""
         table: list = [None] * (1 << users.n)
         for subset, value in values.items():
-            table[users.as_mask(subset)] = Fraction(value)
+            mask = users.as_mask(subset)
+            if table[mask] is not None:
+                raise SkaError(f"subset {{{users.subset_key(mask)}}} has more than one entropy value")
+            table[mask] = Fraction(value)
         if table[0] is None:
             table[0] = Fraction(0)
         for mask, v in enumerate(table):
@@ -459,7 +462,7 @@ def source_from_json_dict(data: dict) -> SourceModel:
     if not isinstance(data, dict):
         raise SkaError("source document must be a JSON object")
     try:
-        users = UserSet(tuple(str(u) for u in data["users"]))
+        users = UserSet(tuple(str(u) for u in _json_list(data["users"], "users")))
         model = data["model"]
     except KeyError as exc:
         raise SkaError(f"source document is missing the {exc.args[0]!r} field") from None
@@ -467,7 +470,7 @@ def source_from_json_dict(data: dict) -> SourceModel:
         try:
             edges = tuple(
                 WeightedEdge(
-                    frozenset(str(m) for m in e["members"]),
+                    frozenset(str(m) for m in _json_list(e["members"], "members")),
                     parse_rational(e["weight"]),
                 )
                 for e in data["edges"]
@@ -488,11 +491,28 @@ def source_from_json_dict(data: dict) -> SourceModel:
     raise SkaError(f"unknown model {model!r} (expected 'hypergraph' or 'table')")
 
 
+def _json_list(value, name: str) -> list:
+    """``value`` if it is a JSON list; a string would read as its characters."""
+    if not isinstance(value, list):
+        raise SkaError(f"the {name!r} field must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _distinct_keys(pairs: list) -> dict:
+    """One JSON object; ``json`` alone would keep the last of two equal keys."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise SkaError(f"key {key!r} appears twice in one JSON object")
+        data[key] = value
+    return data
+
+
 def load_source(path) -> SourceModel:
     """Read and parse a JSON source document from ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_distinct_keys)
         except json.JSONDecodeError as exc:
             raise SkaError(f"malformed JSON in {path}: {exc}") from None
     return source_from_json_dict(data)

@@ -59,14 +59,12 @@ class ZssFunction:
     gamma: Fraction
     block_masks: tuple[int, ...]
     _residuals: tuple = field(init=False, repr=False, compare=False)
-    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         residuals = tuple(
             self.source.entropy_mask(mask) - self.gamma for mask in self.block_masks
         )
         object.__setattr__(self, "_residuals", residuals)
-        object.__setattr__(self, "_cache", {})
 
     @property
     def ell(self) -> int:
@@ -83,18 +81,12 @@ class ZssFunction:
     def value(self, index_set: int) -> Fraction:
         if not 0 <= index_set < 1 << self.ell:
             raise SkaError(f"index set {index_set:#x} is outside range(2**{self.ell})")
-        cached = self._cache.get(index_set)
-        if cached is not None:
-            return cached
         if index_set == 0:
-            result = Fraction(0)
-        else:
-            union = self.union_mask(index_set)
-            result = self.source.entropy_mask(union) - self.gamma
-            for i in range(self.ell):
-                if index_set >> i & 1:
-                    result -= self._residuals[i]
-        self._cache[index_set] = result
+            return Fraction(0)
+        result = self.source.entropy_mask(self.union_mask(index_set)) - self.gamma
+        for i in range(self.ell):
+            if index_set >> i & 1:
+                result -= self._residuals[i]
         return result
 
     def formula_value(self, index_set: int) -> Fraction:
@@ -107,17 +99,9 @@ class ZssFunction:
             return -self.gamma
         return self.value(index_set)
 
-    def as_oracle(self, *, spot_check: bool = False) -> SetFunctionOracle:
-        oracle = SetFunctionOracle(self.ell, self.value, name="g")
-        if spot_check:
-            violation = oracle.spot_check_submodular()
-            if violation is not None:
-                a, i, j = violation
-                raise SkaError(
-                    f"block residual function is not submodular at A={a:#x}, i={i}, j={j}; "
-                    "the source entropy function is invalid"
-                )
-        return oracle
+    def as_oracle(self) -> SetFunctionOracle:
+        """``g`` behind the memoizing oracle that every minimization reads."""
+        return SetFunctionOracle(self.ell, self.value, name="g")
 
 
 def build_g(source: SourceModel, result: MmiResult) -> ZssFunction:
@@ -138,16 +122,17 @@ def g_rounding_unit(source: SourceModel, ell: int) -> Fraction:
     return Fraction(1, source.denominator_lcm() * factorial(max(ell - 1, 1)))
 
 
-def zero_sets(g: ZssFunction, *, cap: int = ZERO_SET_ENUMERATION_CAP) -> tuple[int, ...]:
+def zero_sets(g: ZssFunction) -> tuple[int, ...]:
     """All index sets with ``g == 0``, ascending; by construction this
     includes the empty set, every singleton and the full index set.
 
     One exact integer pass (:func:`zero_set_pass`) over the scaled table.
     """
     ell = g.ell
-    if ell > cap:
+    if ell > ZERO_SET_ENUMERATION_CAP:
         raise EnumerationLimitError(
-            f"{ell} fundamental blocks exceed the zero-set enumeration cap {cap}"
+            f"{ell} fundamental blocks exceed the zero-set enumeration cap "
+            f"{ZERO_SET_ENUMERATION_CAP}"
         )
     ent, scale = scaled_entropies(g.source)
     found, _ = zero_set_pass(ent, g.gamma * scale, g.block_masks)
@@ -324,7 +309,7 @@ def t_max(source: SourceModel, result: MmiResult, *, method: str = "zerosets") -
     # Largest first: a non-maximal candidate sits inside a maximal one,
     # which has more members and so is already kept when it is reached.
     maximal: list[int] = []
-    for m in sorted(candidates, key=_popcount, reverse=True):
+    for m in sorted(candidates, key=int.bit_count, reverse=True):
         if not any(m & ~o == 0 for o in maximal):
             maximal.append(m)
     maximal.sort(key=lambda m: (m & -m, m))
@@ -379,7 +364,7 @@ def is_unique_optimal(
     if ell == 2:
         return True
     if method == "zerosets":
-        return not any(2 <= _popcount(b) <= ell - 1 for b in zero_sets(g))
+        return not any(2 <= b.bit_count() <= ell - 1 for b in zero_sets(g))
     if method != "sfm":
         raise SkaError(f"unknown method {method!r}")
     oracle = g.as_oracle()
@@ -395,7 +380,3 @@ def is_unique_optimal(
                 if _mnp_value(minimize_mnp(oracle, family, unit)) == 0:
                     return False
     return True
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")

@@ -99,7 +99,7 @@ def minimize_bruteforce(
     Returns ``(value, minimizer, all_minimizers)`` with the minimizers in
     canonical (ascending free-bits) order.
     """
-    bits = _bit_positions(family.free_mask)
+    bits = bit_positions(family.free_mask)
     if len(bits) > cap:
         raise EnumerationLimitError(
             f"family has {len(bits)} free elements, above the brute-force cap {cap}"
@@ -141,7 +141,6 @@ def minimize_mnp(
     rounding_unit,
     *,
     tolerance: float = WOLFE_TOLERANCE,
-    bruteforce_cap: int = DEFAULT_BRUTE_FORCE_CAP,
 ) -> MnpResult:
     """Minimize a submodular ``f`` over the family via the min-norm point.
 
@@ -154,7 +153,7 @@ def minimize_mnp(
     unit = Fraction(rounding_unit)
     if unit <= 0:
         raise SkaError("rounding unit must be positive")
-    bits = _bit_positions(family.free_mask)
+    bits = bit_positions(family.free_mask)
     m = len(bits)
     base = f(family.lower)
     if m == 0:
@@ -195,7 +194,7 @@ def minimize_mnp(
             iterations=iterations,
         )
 
-    if m > bruteforce_cap:
+    if m > DEFAULT_BRUTE_FORCE_CAP:
         raise SkaError(
             "min-norm point failed to certify and the family is too large for brute force"
         )
@@ -205,7 +204,7 @@ def minimize_mnp(
         float(unit) / 4,
         f.name,
     )
-    value, minimizer, _ = minimize_bruteforce(f, family, cap=bruteforce_cap)
+    value, minimizer, _ = minimize_bruteforce(f, family)
     diagnostic = None
     if float(value) < lower_bound - float(unit) / 4:
         # The polytope lower bound only holds for submodular functions.
@@ -339,7 +338,8 @@ def _sub_from_signs(x: np.ndarray) -> int:
     return sub
 
 
-def _bit_positions(mask: int) -> list[int]:
+def bit_positions(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
     out = []
     i = 0
     while mask:
@@ -347,10 +347,10 @@ def _bit_positions(mask: int) -> list[int]:
             out.append(i)
         mask >>= 1
         i += 1
-    return out
+    return tuple(out)
 
 
-def _embed(sub: int, bits: list[int]) -> int:
+def _embed(sub: int, bits: tuple[int, ...]) -> int:
     mask = 0
     for t, pos in enumerate(bits):
         if sub >> t & 1:

@@ -30,6 +30,26 @@ from ska import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
 
+# Source documents the parser must reject, each with the field it must name.
+# A string of labels would otherwise be read one character per label.
+NON_LIST_DOCUMENTS = {
+    "users-string": (
+        {"users": "123", "model": "hypergraph", "edges": [{"members": ["1", "2"], "weight": "1"}]},
+        "users",
+    ),
+    "users-number": ({"users": 5, "model": "hypergraph", "edges": []}, "users"),
+    "members-string": (
+        {"users": ["1", "2"], "model": "hypergraph", "edges": [{"members": "12", "weight": "1"}]},
+        "members",
+    ),
+}
+# "1,2" and "2,1" name the same subset.
+TABLE_WITH_A_SUBSET_TWICE = {
+    "users": ["1", "2"],
+    "model": "table",
+    "entropy": {"1": "1", "2": "1", "1,2": "3/2", "2,1": "2"},
+}
+
 
 def users(n: int) -> UserSet:
     return UserSet(tuple(str(i + 1) for i in range(n)))

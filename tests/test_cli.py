@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from ska.cli import main
 
-from .conftest import CORPUS, REPO_ROOT
+from .conftest import CORPUS, NON_LIST_DOCUMENTS, REPO_ROOT, TABLE_WITH_A_SUBSET_TWICE
 
 CORPUS_FILES = [
     "base3",
@@ -179,6 +179,84 @@ def test_enum_cap_env_override(runner, monkeypatch):
     monkeypatch.setenv("SKA_ENUM_CAP", "chaos")
     result = runner.invoke(main, ["mmi", str(CORPUS / "tree.json")])
     assert result.exit_code == 2
+
+
+DOCUMENTS = {name: doc for name, (doc, _) in NON_LIST_DOCUMENTS.items()}
+DOCUMENTS["table-with-a-subset-twice"] = TABLE_WITH_A_SUBSET_TWICE
+
+# One input per command that the library rejects. "@name" stands for a file
+# holding the document of that name in DOCUMENTS.
+REJECTED_INPUTS = {
+    "mmi": (["@users-number"], {}),
+    "partitions": (["@members-string"], {}),
+    "critical": ([str(CORPUS / "tree.json")], {"SKA_ENUM_CAP": "chaos"}),
+    "growth": (["--k", "99", str(CORPUS / "tree.json")], {}),
+    "loss": (["--edge", "1,3", str(CORPUS / "base3.json")], {}),
+    "excess": (["--edge", ",", str(CORPUS / "base3.json")], {}),
+    "tmax": (["@table-with-a-subset-twice"], {}),
+    "unique": (["@users-string"], {}),
+    "validate": (["@users-number"], {}),
+    "verify": (["--epsilon", "x", str(CORPUS / "tree.json")], {}),
+    "conjecture": (["--batch", "2", "--users", "1"], {}),
+}
+
+
+def test_every_command_has_a_rejected_input():
+    assert set(REJECTED_INPUTS) == set(main.commands)
+
+
+@pytest.mark.parametrize("command", REJECTED_INPUTS)
+def test_rejected_input_exits_2_with_one_error_line(runner, tmp_path, command):
+    args, env = REJECTED_INPUTS[command]
+    argv = [command]
+    for arg in args:
+        if arg.startswith("@"):
+            path = tmp_path / f"{arg[1:]}.json"
+            path.write_text(json.dumps(DOCUMENTS[arg[1:]]))
+            arg = str(path)
+        argv.append(arg)
+    result = runner.invoke(main, argv, env=env, catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert [line for line in result.output.splitlines() if line.startswith("error: ")]
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("name", NON_LIST_DOCUMENTS)
+def test_mmi_rejects_users_or_members_that_are_not_lists(runner, tmp_path, name):
+    doc, field = NON_LIST_DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["mmi", str(path)])
+    assert result.exit_code == 2
+    assert f"error: the '{field}' field must be a JSON list" in result.output
+
+
+def test_version_from_a_checkout(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert "0.1.0" in result.output
+
+
+def test_closed_stdout_is_not_reported_as_bad_input(tmp_path):
+    # One edge over all 8 users makes all Bell(8) = 4,140 partitions optimal:
+    # more text than a pipe buffers, so writing continues after the close.
+    labels = [str(i) for i in range(1, 9)]
+    path = tmp_path / "one_edge8.json"
+    path.write_text(json.dumps(
+        {"users": labels, "model": "hypergraph", "edges": [{"members": labels, "weight": "1"}]}
+    ))
+    src = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, src))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ska.cli", "partitions", str(path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"gamma: 1\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"error:" not in stderr
 
 
 # ---------------------------------------------------------------- conjecture

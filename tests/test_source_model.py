@@ -20,7 +20,7 @@ from ska import (
 from ska.random_instances import random_hypergraphical, random_non_coverage_table
 from ska.source_model import ValidationReport, Violation
 
-from .conftest import hyper, users
+from .conftest import NON_LIST_DOCUMENTS, TABLE_WITH_A_SUBSET_TWICE, hyper, users
 
 
 # ---------------------------------------------------------------- entropy
@@ -378,6 +378,29 @@ def test_json_parse_errors():
         source_from_json_dict(
             {"users": ["1", "2"], "model": "hypergraph", "edges": [{"members": ["1"]}]}
         )
+
+
+@pytest.mark.parametrize("name", NON_LIST_DOCUMENTS)
+def test_users_and_members_must_be_json_lists(name):
+    doc, field = NON_LIST_DOCUMENTS[name]
+    with pytest.raises(SkaError, match=f"'{field}' field must be a JSON list"):
+        source_from_json_dict(doc)
+
+
+def test_table_rejects_a_subset_given_twice():
+    with pytest.raises(SkaError, match=r"subset \{1,2\} has more than one entropy value"):
+        source_from_json_dict(TABLE_WITH_A_SUBSET_TWICE)
+    with pytest.raises(SkaError, match=r"subset \{1\}"):
+        EntropyTable.from_values(users(2), {("1",): 1, 1: 1, ("2",): 1, ("1", "2"): 2})
+
+
+def test_load_source_rejects_a_key_given_twice(tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"users": ["1", "2"], "model": "table", "entropy": {"1": "1", "2": "1", "1,2": "1", "1,2": "2"}}'
+    )
+    with pytest.raises(SkaError, match="key '1,2' appears twice"):
+        load_source(path)
 
 
 def test_load_source_reads_corpus_file():
