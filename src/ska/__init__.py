@@ -39,11 +39,9 @@ from .mmi import (
     MmiResult,
     i_p,
     mmi,
-    residual_entropy,
-    verify_fundamental,
 )
 from .partitions import Partition, enumerate_partitions, partition_from_rgs, restricted_growth_strings
-from .rationals import Rational, denominator_lcm, format_rational, parse_rational
+from .rationals import denominator_lcm, format_rational, parse_rational
 from .source_model import (
     EntropyTable,
     HypergraphicalSource,
@@ -70,7 +68,6 @@ from .submodular import (
     LatticeFamily,
     MnpResult,
     SetFunctionOracle,
-    base_vertex,
     minimize_bruteforce,
     minimize_mnp,
 )

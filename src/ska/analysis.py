@@ -29,7 +29,7 @@ from .errors import MissingEdgeError, SkaError
 # ``mmi`` is not called here; it stays bound because ``perfbench`` wraps
 # ``analysis.mmi`` to count calls made from this module.
 from .mmi import MmiResult, mmi, mmi_core, scaled_entropies  # noqa: F401
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 from .source_model import HypergraphicalSource, SourceModel, UserSet
 from .structure import TMaxReport, t_max, zero_set_pass
 from .submodular import bit_positions
@@ -90,9 +90,6 @@ class GrowthCurve:
     values: tuple
     witnesses: tuple
 
-    def value(self, k: int) -> Fraction:
-        return self.values[k]
-
     def witness_labels(self, k: int) -> tuple[str, ...]:
         return self.users.labels_of(self.witnesses[k])
 
@@ -104,17 +101,6 @@ class GrowthCurve:
                 for k, w in enumerate(self.witnesses)
             },
         }
-
-    @classmethod
-    def from_json_dict(cls, users: UserSet, data: dict) -> "GrowthCurve":
-        k_max = max(int(k) for k in data["values"])
-        return cls(
-            users=users,
-            values=tuple(parse_rational(data["values"][str(k)]) for k in range(k_max + 1)),
-            witnesses=tuple(
-                users.as_mask(tuple(data["witnesses"][str(k)])) for k in range(k_max + 1)
-            ),
-        )
 
 
 def growth_curve(source: SourceModel, result: MmiResult, k_max: int | None = None) -> GrowthCurve:
@@ -180,15 +166,6 @@ class CriticalEdgeReport:
             "common_size": self.common_size,
             "case": self.case,
         }
-
-    @classmethod
-    def from_json_dict(cls, users: UserSet, data: dict) -> "CriticalEdgeReport":
-        return cls(
-            users=users,
-            edges=tuple(users.as_mask(tuple(e)) for e in data["edges"]),
-            common_size=int(data["common_size"]),
-            case=str(data["case"]),
-        )
 
 
 def critical_edges(
@@ -277,14 +254,6 @@ class GranularityCheck:
             "ok": self.ok,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GranularityCheck":
-        return cls(
-            epsilon=parse_rational(data["epsilon"]),
-            measured_rate=parse_rational(data["measured_rate"]),
-            ok=bool(data["ok"]),
-        )
-
 
 @dataclass(frozen=True)
 class PerturbationVerdict:
@@ -340,23 +309,6 @@ class PerturbationVerdict:
             "granularity": None if self.granularity is None else self.granularity.to_json_dict(),
             "ok": self.ok,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PerturbationVerdict":
-        return cls(
-            mode=str(data["mode"]),
-            subset=tuple(str(x) for x in data["subset"]),
-            epsilon=parse_rational(data["epsilon"]),
-            formula_rate=parse_rational(data["formula_rate"]),
-            measured_rate=parse_rational(data["measured_rate"]),
-            identity_ok=bool(data["identity_ok"]),
-            containment_ok=bool(data["containment_ok"]),
-            granularity=(
-                None
-                if data["granularity"] is None
-                else GranularityCheck.from_json_dict(data["granularity"])
-            ),
-        )
 
 
 def perturbation_verify(
@@ -486,15 +438,6 @@ class ConjectureEntry:
             "holds": self.holds,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConjectureEntry":
-        return cls(
-            edge=tuple(str(x) for x in data["edge"]),
-            rate=parse_rational(data["rate"]),
-            predicted=parse_rational(data["predicted"]),
-            holds=bool(data["holds"]),
-        )
-
 
 @dataclass(frozen=True)
 class ConjectureReport:
@@ -520,10 +463,6 @@ class ConjectureReport:
             "total": total,
             "all_hold": self.all_hold,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConjectureReport":
-        return cls(entries=tuple(ConjectureEntry.from_json_dict(e) for e in data["entries"]))
 
 
 def conjecture_check(

@@ -19,7 +19,7 @@ import click
 
 from . import __version__, analysis, structure
 from .errors import SkaError
-from .mmi import MmiResult, mmi
+from .mmi import MmiResult, check_enumeration_cap, mmi
 from .random_instances import random_hypergraphical, random_pin
 from .rationals import format_rational, parse_rational
 from .source_model import HypergraphicalSource, SourceModel, load_source
@@ -304,6 +304,8 @@ def conjecture_command(
     """
     if source_path is None and batch <= 0:
         raise SkaError("give a source, --batch N, or both")
+    if batch > 0:
+        check_enumeration_cap(batch_users, _enum_cap())
     reports = []
     if source_path is not None:
         source, result = _load(source_path)

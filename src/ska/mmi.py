@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import kernel
 from .errors import ConsistencyError, EnumerationLimitError, GroundSetMismatchError, SkaError
 from .partitions import Partition, partition_from_rgs
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 from .source_model import HypergraphicalSource, SourceModel, UserSet
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -64,18 +64,6 @@ class MmiResult:
             "gap": "inf" if self.gap is None else format_rational(self.gap),
         }
 
-    @classmethod
-    def from_json_dict(cls, users: UserSet, data: dict) -> "MmiResult":
-        return cls(
-            users=users,
-            gamma=parse_rational(data["gamma"]),
-            optimal_partitions=tuple(
-                Partition.from_json(users, p) for p in data["optimal_partitions"]
-            ),
-            fundamental=Partition.from_json(users, data["fundamental"]),
-            gap=None if data["gap"] == "inf" else parse_rational(data["gap"]),
-        )
-
 
 def i_p(source: SourceModel, partition: Partition) -> Fraction:
     """Partition information rate
@@ -86,11 +74,6 @@ def i_p(source: SourceModel, partition: Partition) -> Fraction:
         raise SkaError("partition information rate needs at least two blocks")
     total = sum((source.entropy_mask(b) for b in partition.blocks), Fraction(0))
     return (total - source.entropy_mask(source.users.full_mask)) / (partition.n_blocks - 1)
-
-
-def residual_entropy(source: SourceModel, gamma: Fraction, subset) -> Fraction:
-    """Residual randomness ``H(Z_C) - gamma`` of a subset."""
-    return source.entropy(subset) - Fraction(gamma)
 
 
 def scaled_entropies(source: SourceModel) -> tuple[list[int], int]:
@@ -163,6 +146,16 @@ def mmi_core(ent: list[int]) -> tuple[Fraction, tuple[int, ...]]:
         p, q = sum(ent[b] for b in blocks) - ent[full], len(blocks) - 1
 
 
+def check_enumeration_cap(n: int, cap: int | None) -> None:
+    """Raise EnumerationLimitError when ``n`` users exceed ``cap`` (default
+    12), the ground-set bound of :func:`mmi`."""
+    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if n > limit:
+        raise EnumerationLimitError(
+            f"enumeration limit: {n} users exceeds the configured cap of {limit}"
+        )
+
+
 def mmi(source: SourceModel, *, cap: int | None = None) -> MmiResult:
     """Compute the MMI by exact enumeration over all multi-block partitions.
 
@@ -179,11 +172,7 @@ def mmi(source: SourceModel, *, cap: int | None = None) -> MmiResult:
     """
     users = source.users
     n = users.n
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if n > limit:
-        raise EnumerationLimitError(
-            f"enumeration limit: {n} users exceeds the configured cap of {limit}"
-        )
+    check_enumeration_cap(n, cap)
     ent, scale = scaled_entropies(source)
     best_num, best_den, minimizers, run_num, run_den, has_run = (
         kernel.minimize_over_partitions(n, ent)
@@ -203,15 +192,6 @@ def mmi(source: SourceModel, *, cap: int | None = None) -> MmiResult:
         optimal_partitions=optimal,
         fundamental=fundamental,
         gap=gap,
-    )
-
-
-def verify_fundamental(result: MmiResult) -> bool:
-    """Self-check: the fundamental partition is optimal and refines every
-    optimal partition."""
-    f = result.fundamental
-    return f in result.optimal_partitions and all(
-        f.refines(p) for p in result.optimal_partitions
     )
 
 

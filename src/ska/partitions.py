@@ -75,10 +75,6 @@ class Partition:
     def to_json(self) -> list:
         return [list(block) for block in self.label_blocks()]
 
-    @classmethod
-    def from_json(cls, users: UserSet, data: Iterable) -> "Partition":
-        return cls.of(users, tuple(tuple(str(x) for x in block) for block in data))
-
     def __str__(self) -> str:
         return " | ".join(",".join(block) for block in self.label_blocks())
 

@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-Rational = Fraction
-
 
 def parse_rational(value: str | int) -> Fraction:
     """Parse a rational encoded as ``"p/q"`` or an integer string (plain

@@ -25,7 +25,11 @@ from .rationals import denominator_lcm, format_rational, parse_rational
 
 @dataclass(frozen=True)
 class UserSet:
-    """Ordered ground set of user labels; subsets are bitmasks over it."""
+    """Ordered ground set of user labels; subsets are bitmasks over it.
+
+    A label is nonempty, holds no comma and has no leading or trailing
+    whitespace, so every subset can be written as comma-joined labels.
+    """
 
     labels: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
@@ -36,6 +40,12 @@ class UserSet:
             raise SkaError("a source needs at least two users")
         if len(set(labels)) != len(labels):
             raise SkaError("user labels must be distinct")
+        for lab in labels:
+            if not lab or "," in lab or lab != lab.strip():
+                raise SkaError(
+                    f"user label {lab!r} must be nonempty, without commas "
+                    "or leading or trailing whitespace"
+                )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
 
@@ -72,12 +82,6 @@ class UserSet:
         """Comma-joined labels in ground-set order (JSON table keys)."""
         return ",".join(self.labels_of(mask))
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self.labels)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -94,14 +98,6 @@ class Violation:
             "message": self.message,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Violation":
-        return cls(
-            kind=str(data["kind"]),
-            subsets=tuple(tuple(str(x) for x in s) for s in data["subsets"]),
-            message=str(data["message"]),
-        )
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -112,13 +108,6 @@ class ValidationReport:
 
     def to_json_dict(self) -> dict:
         return {"ok": self.ok, "violations": [v.to_json_dict() for v in self.violations]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ValidationReport":
-        return cls(
-            ok=bool(data["ok"]),
-            violations=tuple(Violation.from_json_dict(v) for v in data["violations"]),
-        )
 
     def __str__(self) -> str:
         if self.ok:
@@ -161,9 +150,6 @@ class SourceModel:
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 @dataclass(frozen=True)

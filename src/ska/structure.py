@@ -254,26 +254,6 @@ class TMaxReport:
             data["complement_family"] = [list(s) for s in self.complement_labels()]
         return data
 
-    @classmethod
-    def from_json_dict(cls, users: UserSet, data: dict) -> "TMaxReport":
-        case = str(data["case"])
-        t_max = tuple(users.as_mask(tuple(s)) for s in data["t_max"])
-        if case == "T1":
-            return cls(
-                users=users,
-                t_max=t_max,
-                case=case,
-                coarsest_optimal=Partition.from_json(users, data["coarsest_optimal"]),
-            )
-        return cls(
-            users=users,
-            t_max=t_max,
-            case=case,
-            complement_family=tuple(
-                users.as_mask(tuple(s)) for s in data["complement_family"]
-            ),
-        )
-
 
 def t_max(source: SourceModel, result: MmiResult, *, method: str = "zerosets") -> TMaxReport:
     """Compute the maximal optimal-partition blocks and classify the

@@ -20,10 +20,9 @@ certified-or-fall-back is the contract this module actually delivers.
 from __future__ import annotations
 
 import logging
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import EnumerationLimitError, SkaError
 
@@ -72,20 +71,6 @@ class SetFunctionOracle:
             value = Fraction(self._fn(mask))
             self._cache[mask] = value
         return value
-
-    def spot_check_submodular(self, seed: int = 0, trials: int = 64):
-        """Sample (A, i, j) triples and test
-        ``f(A|i) + f(A|j) >= f(A|i|j) + f(A)``; return a violating triple
-        ``(A, i, j)`` or None."""
-        if self.n < 2:
-            return None
-        rng = random.Random(seed)
-        for _ in range(trials):
-            i, j = rng.sample(range(self.n), 2)
-            a = rng.randrange(1 << self.n) & ~(1 << i) & ~(1 << j)
-            if self(a | 1 << i) + self(a | 1 << j) < self(a | 1 << i | 1 << j) + self(a):
-                return (a, i, j)
-        return None
 
 
 def minimize_bruteforce(
@@ -217,22 +202,6 @@ def minimize_mnp(
         iterations=iterations,
         diagnostic=diagnostic,
     )
-
-
-def base_vertex(f: SetFunctionOracle, order: Sequence[int]) -> list[Fraction]:
-    """Exact base-polytope vertex of ``f - f(empty)`` from a linear order
-    (the greedy rule: coordinate = marginal value along the order)."""
-    if sorted(order) != list(range(f.n)):
-        raise SkaError("order must be a permutation of the ground set")
-    vertex: list[Fraction] = [Fraction(0)] * f.n
-    prefix = 0
-    prev = f(0)
-    for idx in order:
-        prefix |= 1 << idx
-        current = f(prefix)
-        vertex[idx] = current - prev
-        prev = current
-    return vertex
 
 
 def _wolfe_min_norm_point(

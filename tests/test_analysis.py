@@ -4,11 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ska import (
-    CriticalEdgeReport,
-    GrowthCurve,
     HypergraphicalSource,
     MissingEdgeError,
-    PerturbationVerdict,
     SkaError,
     conjecture_check,
     critical_edges,
@@ -419,20 +416,3 @@ def test_reports_are_relabeling_equivariant():
         assert mapped == {frozenset(edge) for edge in crit_b.edge_labels()}
         assert crit_a.common_size == crit_b.common_size
         assert growth_curve(source, res_a).values == growth_curve(moved, res_b).values
-
-
-# ---------------------------------------------------------------- encoding
-
-def test_report_json_roundtrips(tree4):
-    result = mmi(tree4)
-    u = tree4.users
-    crit = critical_edges(tree4, result)
-    assert CriticalEdgeReport.from_json_dict(u, crit.to_json_dict()) == crit
-    curve = growth_curve(tree4, result)
-    assert GrowthCurve.from_json_dict(u, curve.to_json_dict()) == curve
-    verdict = perturbation_verify(tree4, result, ("1", "4"), "increment")
-    assert PerturbationVerdict.from_json_dict(verdict.to_json_dict()) == verdict
-    report = conjecture_check(tree4, result)
-    from ska import ConjectureReport
-
-    assert ConjectureReport.from_json_dict(report.to_json_dict()) == report

@@ -183,6 +183,14 @@ def test_enum_cap_env_override(runner, monkeypatch):
 
 DOCUMENTS = {name: doc for name, (doc, _) in NON_LIST_DOCUMENTS.items()}
 DOCUMENTS["table-with-a-subset-twice"] = TABLE_WITH_A_SUBSET_TWICE
+DOCUMENTS["negative-edge"] = {
+    "users": ["1", "2", "3"],
+    "model": "hypergraph",
+    "edges": [
+        {"members": ["1", "2"], "weight": "1"},
+        {"members": ["2", "3"], "weight": "-1/2"},
+    ],
+}
 
 # One input per command that the library rejects. "@name" stands for a file
 # holding the document of that name in DOCUMENTS.
@@ -201,6 +209,18 @@ REJECTED_INPUTS = {
 }
 
 
+def _argv(tmp_path, args):
+    """``args`` with each "@name" replaced by a file holding DOCUMENTS[name]."""
+    argv = []
+    for arg in args:
+        if arg.startswith("@"):
+            path = tmp_path / f"{arg[1:]}.json"
+            path.write_text(json.dumps(DOCUMENTS[arg[1:]]))
+            arg = str(path)
+        argv.append(arg)
+    return argv
+
+
 def test_every_command_has_a_rejected_input():
     assert set(REJECTED_INPUTS) == set(main.commands)
 
@@ -208,17 +228,89 @@ def test_every_command_has_a_rejected_input():
 @pytest.mark.parametrize("command", REJECTED_INPUTS)
 def test_rejected_input_exits_2_with_one_error_line(runner, tmp_path, command):
     args, env = REJECTED_INPUTS[command]
-    argv = [command]
-    for arg in args:
-        if arg.startswith("@"):
-            path = tmp_path / f"{arg[1:]}.json"
-            path.write_text(json.dumps(DOCUMENTS[arg[1:]]))
-            arg = str(path)
-        argv.append(arg)
+    argv = [command, *_argv(tmp_path, args)]
     result = runner.invoke(main, argv, env=env, catch_exceptions=False)
     assert result.exit_code == 2, result.output
     assert [line for line in result.output.splitlines() if line.startswith("error: ")]
     assert "Traceback" not in result.output
+
+
+def _verdict(mode, subset, rate):
+    return {
+        "mode": mode,
+        "subset": subset,
+        "epsilon": "1/4",
+        "formula_rate": rate,
+        "measured_rate": rate,
+        "identity_ok": True,
+        "containment_ok": True,
+        "granularity": {"epsilon": "1/6", "measured_rate": rate, "ok": True},
+        "ok": True,
+    }
+
+
+# The payloads of the writers no sidecar covers, exactly as printed.
+PINNED_PAYLOADS = {
+    "verify": (
+        ["verify", "--set", "1,4", "--edge", "2,3", "--format", "json", "corpus/tree.json"],
+        0,
+        {
+            "verdicts": [
+                _verdict("increment", ["1", "4"], "1/3"),
+                _verdict("decrement", ["2", "3"], "1"),
+            ],
+            "ok": True,
+        },
+    ),
+    "conjecture": (
+        ["conjecture", "--format", "json", "corpus/tree.json"],
+        0,
+        {
+            "instances": [
+                {
+                    "name": "corpus/tree.json",
+                    "entries": [
+                        {"edge": ["1", "4"], "rate": "1/3", "predicted": "1/3", "holds": True}
+                    ],
+                    "holds": 1,
+                    "total": 1,
+                    "all_hold": True,
+                }
+            ],
+            "holds": 1,
+            "total": 1,
+            "all_hold": True,
+        },
+    ),
+    "validate": (
+        ["validate", "--format", "json", "corpus/tree.json"],
+        0,
+        {"ok": True, "violations": []},
+    ),
+    "validate-negative-edge": (
+        ["validate", "--format", "json", "@negative-edge"],
+        2,
+        {
+            "ok": False,
+            "violations": [
+                {
+                    "kind": "negative-weight",
+                    "subsets": [["2", "3"]],
+                    "message": "edge {2,3} has negative weight -1/2",
+                }
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PAYLOADS)
+def test_json_payload_is_pinned(runner, tmp_path, monkeypatch, name):
+    args, code, payload = PINNED_PAYLOADS[name]
+    monkeypatch.chdir(REPO_ROOT)
+    result = runner.invoke(main, _argv(tmp_path, args), catch_exceptions=False)
+    assert result.exit_code == code
+    assert result.stdout == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name", NON_LIST_DOCUMENTS)
@@ -229,6 +321,24 @@ def test_mmi_rejects_users_or_members_that_are_not_lists(runner, tmp_path, name)
     result = runner.invoke(main, ["mmi", str(path)])
     assert result.exit_code == 2
     assert f"error: the '{field}' field must be a JSON list" in result.output
+
+
+BAD_LABEL_DOCUMENTS = {
+    "1,2": {"users": ["1,2", "3"], "model": "hypergraph", "edges": []},
+    "": {"users": ["", "1"], "model": "table", "entropy": {"1": "1", ",1": "1"}},
+    " 1": {"users": [" 1", "2"], "model": "hypergraph", "edges": []},
+}
+
+
+@pytest.mark.parametrize("label", BAD_LABEL_DOCUMENTS)
+def test_mmi_rejects_a_label_no_subset_key_can_spell(runner, tmp_path, label):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(BAD_LABEL_DOCUMENTS[label]))
+    result = runner.invoke(main, ["mmi", str(path)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: user label {label!r} must be nonempty")
 
 
 def test_version_from_a_checkout(runner):
@@ -265,6 +375,23 @@ def test_conjecture_single_source(runner):
     result = runner.invoke(main, ["conjecture", str(CORPUS / "tree.json")])
     assert result.exit_code == 0
     assert "1/1 critical edges match the guess" in result.output
+
+
+@pytest.mark.parametrize("users, env", [("1000", {}), ("4", {"SKA_ENUM_CAP": "3"})])
+def test_conjecture_checks_the_cap_before_generating(runner, monkeypatch, users, env):
+    def generator(rng, n):
+        raise AssertionError("a source was generated")
+
+    monkeypatch.setattr("ska.cli.random_pin", generator)
+    monkeypatch.setattr("ska.cli.random_hypergraphical", generator)
+    result = runner.invoke(
+        main, ["conjecture", "--batch", "1", "--users", users], env=env, catch_exceptions=False
+    )
+    assert result.exit_code == 2
+    cap = env.get("SKA_ENUM_CAP", "12")
+    assert result.stderr == (
+        f"error: enumeration limit: {users} users exceeds the configured cap of {cap}\n"
+    )
 
 
 def test_conjecture_batch_is_deterministic(runner):

@@ -11,15 +11,12 @@ import ska.kernel as kernel
 from ska import (
     EntropyTable,
     EnumerationLimitError,
-    MmiResult,
     Partition,
     SkaError,
     enumerate_partitions,
     i_p,
     mmi,
     pin_source,
-    residual_entropy,
-    verify_fundamental,
 )
 from ska.mmi import mmi_core, scaled_entropies
 from ska.random_instances import (
@@ -188,43 +185,31 @@ def test_mmi_matches_oracle_on_generated_sources(source):
     )
 
 
-# ---------------------------------------------------------------- residual
-
-def test_residual_entropy_examples(tree4):
-    assert residual_entropy(tree4, 1, ("1",)) == 0
-    assert residual_entropy(tree4, 0, ("2", "3")) == 3
-    assert residual_entropy(tree4, 1, ("2", "3")) == 2
-
-
 # ---------------------------------------------------------------- fundamental
 
 def test_tree_fundamental_is_singletons(tree4):
     result = mmi(tree4)
     assert result.fundamental == P(tree4.users, "1", "2", "3", "4")
-    assert verify_fundamental(result)
+    f = result.fundamental
+    assert f in result.optimal_partitions
+    assert all(f.refines(p) for p in result.optimal_partitions)
 
 
 def test_two_user_fundamental_is_the_split():
     source = hyper(2, (("1", "2"), 1))
     result = mmi(source)
     assert result.fundamental == P(source.users, "1", "2")
-    assert verify_fundamental(result)
+    f = result.fundamental
+    assert f in result.optimal_partitions
+    assert all(f.refines(p) for p in result.optimal_partitions)
+    assert result.gap is None and result.to_json_dict()["gap"] == "inf"
 
 
 def test_overlap_fundamental_refines_both_optima(overlap3):
-    assert verify_fundamental(mmi(overlap3))
-
-
-def test_verify_fundamental_detects_forgery(tree4):
-    result = mmi(tree4)
-    forged = MmiResult(
-        users=result.users,
-        gamma=result.gamma,
-        optimal_partitions=result.optimal_partitions,
-        fundamental=P(tree4.users, ("1", "2"), ("3", "4")),
-        gap=result.gap,
-    )
-    assert not verify_fundamental(forged)
+    result = mmi(overlap3)
+    f = result.fundamental
+    assert f in result.optimal_partitions
+    assert all(f.refines(p) for p in result.optimal_partitions)
 
 
 # ---------------------------------------------------------------- invariants
@@ -235,10 +220,10 @@ def test_residual_sum_identity_on_optimal_and_excess_on_others():
         source = random_hypergraphical(rng, rng.randint(3, 5))
         result = mmi(source)
         full = source.users.full_mask
-        h_v = residual_entropy(source, result.gamma, full)
+        h_v = source.entropy_mask(full) - result.gamma
         for p in enumerate_partitions(source.users, 2):
             lhs = sum(
-                (residual_entropy(source, result.gamma, b) for b in p.blocks),
+                (source.entropy_mask(b) - result.gamma for b in p.blocks),
                 Fraction(0),
             )
             excess = (p.n_blocks - 1) * (i_p(source, p) - result.gamma)
@@ -360,20 +345,3 @@ def core_sources(draw):
 def test_subset_core_matches_oracle_on_generated_sources(source):
     gamma, _, finest, _ = mmi_reference(source)
     assert core(source) == (gamma, finest)
-
-
-# ---------------------------------------------------------------- encoding
-
-def test_mmi_result_json_roundtrip(tree4, base3):
-    for source in (tree4, base3):
-        result = mmi(source)
-        data = result.to_json_dict()
-        assert MmiResult.from_json_dict(source.users, data) == result
-
-
-def test_mmi_result_json_roundtrip_with_infinite_gap():
-    source = hyper(2, (("1", "2"), 1))
-    result = mmi(source)
-    data = result.to_json_dict()
-    assert data["gap"] == "inf"
-    assert MmiResult.from_json_dict(source.users, data) == result

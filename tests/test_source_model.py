@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,12 @@ def test_user_set_requires_two_distinct_users():
         UserSet(("1",))
     with pytest.raises(SkaError):
         UserSet(("1", "1"))
+
+
+@pytest.mark.parametrize("label", ["", "1,2", " 1", "1 ", "1\t"])
+def test_user_set_rejects_labels_no_subset_key_can_spell(label):
+    with pytest.raises(SkaError, match=re.escape(repr(label))):
+        UserSet((label, "3"))
 
 
 # ---------------------------------------------------------------- validate
@@ -409,12 +416,3 @@ def test_load_source_reads_corpus_file():
     source = load_source(CORPUS / "tree.json")
     assert isinstance(source, HypergraphicalSource)
     assert source.users.labels == ("1", "2", "3", "4")
-
-
-def test_validation_report_json_roundtrip():
-    from ska import ValidationReport
-
-    report = hyper(3, (("1", "2"), -1)).validate()
-    assert ValidationReport.from_json_dict(report.to_json_dict()) == report
-    clean = hyper(3, (("1", "2"), 1)).validate()
-    assert ValidationReport.from_json_dict(clean.to_json_dict()) == clean

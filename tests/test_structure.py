@@ -9,7 +9,6 @@ from ska import (
     EntropyTable,
     Partition,
     SkaError,
-    TMaxReport,
     build_g,
     g_rounding_unit,
     is_unique_optimal,
@@ -373,13 +372,3 @@ def test_two_block_fundamental_is_always_unique(pair_only):
     result = mmi(pair_only)
     assert result.ell == 2
     assert is_unique_optimal(pair_only, result, method="sfm")
-
-
-# ---------------------------------------------------------------- encoding
-
-def test_tmax_report_json_roundtrip(tree4, pair_only):
-    for source in (tree4, pair_only):
-        report = t_max(source, mmi(source))
-        data = report.to_json_dict()
-        again = TMaxReport.from_json_dict(source.users, data)
-        assert again == report

@@ -9,7 +9,6 @@ from ska import (
     LatticeFamily,
     SetFunctionOracle,
     SkaError,
-    base_vertex,
     build_g,
     minimize_bruteforce,
     minimize_mnp,
@@ -177,45 +176,11 @@ def test_contraction_identity():
         assert lower | min(a for a, v in sub_values.items() if v == contracted_min) == best
 
 
-def test_greedy_vertex_prefix_identity():
-    rng = random.Random(13)
-    for _ in range(20):
-        n = rng.randint(2, 7)
-        edges = [
-            (rng.randrange(1, 1 << n), Fraction(rng.randint(0, 6), rng.randint(1, 6)))
-            for _ in range(rng.randint(1, 5))
-        ]
-        f = coverage_oracle(n, edges)
-        order = rng.sample(range(n), n)
-        vertex = base_vertex(f, order)
-        prefix = 0
-        for idx in order:
-            prefix |= 1 << idx
-            assert sum(vertex[i] for i in range(n) if prefix >> i & 1) == f(prefix)
-
-
-def test_base_vertex_requires_permutation():
-    f = modular_oracle([Fraction(1), Fraction(2)])
-    with pytest.raises(SkaError):
-        base_vertex(f, [0, 0])
-
-
 def test_forced_nonconvergence_falls_back_to_bruteforce():
     f = cut_oracle(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     result = minimize_mnp(f, LatticeFamily(0b0001, 0b0111), Fraction(1), tolerance=-1.0)
     assert result.fallback and not result.certified
     assert result.value == minimize_bruteforce(f, LatticeFamily(0b0001, 0b0111))[0]
-
-
-def test_spot_check_flags_supermodular_function():
-    def fn(mask):
-        return Fraction(bin(mask).count("1") ** 2)
-
-    f = SetFunctionOracle(4, fn, name="supermodular")
-    assert f.spot_check_submodular() is not None
-
-    g = truncation_oracle(4, 2)
-    assert g.spot_check_submodular() is None
 
 
 def test_rounding_unit_must_be_positive():
