@@ -465,17 +465,12 @@ class ConjectureReport:
         }
 
 
-def conjecture_check(
-    source: SourceModel,
-    result: MmiResult,
-    report: CriticalEdgeReport | None = None,
-) -> ConjectureReport:
+def conjecture_check(source: SourceModel, result: MmiResult) -> ConjectureReport:
     """Evaluate the growth rate of every critical edge and compare it with
     ``(|S| - 1) / (ell - 1)``."""
-    rep = report if report is not None else critical_edges(source, result)
     ell = result.ell
     entries = []
-    for mask in rep.edges:
+    for mask in critical_edges(source, result).edges:
         rate = growth_rate(source, result, mask)
         predicted = Fraction(mask.bit_count() - 1, ell - 1)
         entries.append(

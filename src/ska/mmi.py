@@ -6,31 +6,34 @@ The multivariate mutual information (MMI) of a source is
              I_P = (sum over blocks C of H(Z_C) - H(Z_V)) / (|P| - 1),
 
 and equals the secrecy capacity of the corresponding secret key agreement
-problem without helpers. Two exact routes compute it:
+problem without helpers. :func:`mmi` answers with two exact routes over
+one integer table:
 
-* :func:`mmi`, one enumeration pass over all Bell(n) partitions, yields the
-  minimum, the set of all minimizing partitions, the unique finest minimizer
-  (the fundamental partition), and the optimality gap that bounds how far
-  the source can be perturbed without reshuffling the minimizers;
-* :func:`mmi_core` yields gamma and the fundamental partition only, by
-  Dinkelbach iteration over Dilworth truncations at 2^n per step. Callers
-  that need nothing else (the ``verify`` replays) use it directly.
+* an enumeration pass over all Bell(n) partitions yields gamma's value, the
+  set of all minimizing partitions, and the optimality gap that bounds how
+  far the source can be perturbed without reshuffling the minimizers;
+* the subset core :func:`mmi_core` yields gamma and the fundamental
+  partition (the unique finest minimizer), by Dinkelbach iteration over
+  Dilworth truncations at 2^n per step. Callers that need nothing else
+  (the ``verify`` replays) use it directly.
 
-Internally the entropies are rescaled to integers (the least common multiple
-of the value denominators) so both routes work in integer arithmetic; gamma
-and the gap are converted back to exact rationals at the end.
+:func:`mmi` rejects an invalid source before either route runs. The
+entropies are rescaled to integers (the least common multiple of the value
+denominators), once per source; gamma and the gap are converted back to
+exact rationals at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from . import kernel
 from .errors import ConsistencyError, EnumerationLimitError, GroundSetMismatchError, SkaError
 from .partitions import Partition, partition_from_rgs
 from .rationals import format_rational
-from .source_model import HypergraphicalSource, SourceModel, UserSet
+from .source_model import SourceModel, UserSet
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -76,35 +79,15 @@ def i_p(source: SourceModel, partition: Partition) -> Fraction:
     return (total - source.entropy_mask(source.users.full_mask)) / (partition.n_blocks - 1)
 
 
-def scaled_entropies(source: SourceModel) -> tuple[list[int], int]:
-    """All subset entropies multiplied by the denominator LCM, as integers.
-
-    Returns ``(ent, scale)`` with ``ent[mask] == scale * H(mask)``.
+def scaled_entropies(source: SourceModel) -> tuple[tuple[int, ...], int]:
+    """The source's ``integer_table``: ``(ent, scale)`` with ``ent[mask] ==
+    scale * H(mask)``, built once per source. Callers look the table up
+    here, at one name that ``perfbench`` can time.
     """
-    users = source.users
-    n = users.n
-    scale = source.denominator_lcm()
-    if isinstance(source, HypergraphicalSource):
-        weights = [int(e.weight * scale) for e in source.edges]
-        masks = source.edge_masks
-        ent = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            s = 0
-            for emask, w in zip(masks, weights):
-                if emask & mask:
-                    s += w
-            ent[mask] = s
-        return ent, scale
-    ent = []
-    for mask in range(1 << n):
-        v = source.entropy_mask(mask) * scale
-        if v.denominator != 1:
-            raise ConsistencyError("denominator scale did not clear a value")
-        ent.append(v.numerator)
-    return ent, scale
+    return source.integer_table
 
 
-def mmi_core(ent: list[int]) -> tuple[Fraction, tuple[int, ...]]:
+def mmi_core(ent: Sequence[int]) -> tuple[Fraction, tuple[int, ...]]:
     """gamma and the fundamental partition from an integer entropy table.
 
     ``ent[mask]`` is a scaled entropy (as from :func:`scaled_entropies`) of a
@@ -157,50 +140,41 @@ def check_enumeration_cap(n: int, cap: int | None) -> None:
 
 
 def mmi(source: SourceModel, *, cap: int | None = None) -> MmiResult:
-    """Compute the MMI by exact enumeration over all multi-block partitions.
+    """gamma, the optimal partitions, the fundamental partition and the gap.
 
-    ``cap`` bounds the ground-set size (default 12); above it the call
-    raises EnumerationLimitError before any scan. The scan visits
-    Bell(n) - 1 partitions; on random hypergraphs it took 0.41 s at n=10,
-    2.4 s at n=11 and 14.8 s at n=12 (Python 3.11.7, one Xeon core). Each
-    further user multiplies that by Bell(n+1)/Bell(n), 6.6 at n=13 rising
-    to 7.6 at n=16, so n=16 would take about 10 hours.
-
-    Requires a valid (submodular) source; on invalid input the optimal
-    partitions need not admit a unique finest member, which is reported as a
-    ConsistencyError.
+    Above ``cap`` users (default 12) the call raises EnumerationLimitError,
+    and on an invalid source a SkaError with its validation report, before
+    any other work. A scan over all Bell(n) - 1 multi-block partitions gives
+    gamma, the optimal partitions and the gap; :func:`mmi_core` gives the
+    fundamental partition. The scan took 0.41 s at n=10, 2.4 s at n=11 and
+    14.8 s at n=12 on random hypergraphs (Python 3.11.7, one Xeon core), and
+    each further user multiplies that by Bell(n+1)/Bell(n), 6.6 at n=13.
     """
     users = source.users
     n = users.n
     check_enumeration_cap(n, cap)
+    report = source.validate()
+    if not report.ok:
+        raise SkaError(f"not a valid source:\n{report}")
     ent, scale = scaled_entropies(source)
     best_num, best_den, minimizers, run_num, run_den, has_run = (
         kernel.minimize_over_partitions(n, ent)
     )
     gamma = Fraction(best_num, best_den) / scale
+    core_gamma, blocks = mmi_core(ent)
+    if core_gamma / scale != gamma:
+        raise ConsistencyError("subset core and scan disagree on gamma; this indicates a bug")
     optimal = tuple(
         sorted(
             (partition_from_rgs(users, rgs) for rgs in minimizers),
             key=lambda p: p.blocks,
         )
     )
-    fundamental = _finest(optimal)
     gap = Fraction(run_num, run_den) / scale - gamma if has_run else None
     return MmiResult(
         users=users,
         gamma=gamma,
         optimal_partitions=optimal,
-        fundamental=fundamental,
+        fundamental=Partition(users, blocks),
         gap=gap,
-    )
-
-
-def _finest(optimal: tuple[Partition, ...]) -> Partition:
-    most_blocks = max(p.n_blocks for p in optimal)
-    candidates = [p for p in optimal if p.n_blocks == most_blocks]
-    if len(candidates) == 1 and all(candidates[0].refines(p) for p in optimal):
-        return candidates[0]
-    raise ConsistencyError(
-        "optimal partitions admit no unique finest member; "
-        "the source is not a valid (submodular) entropy function"
     )

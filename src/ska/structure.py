@@ -119,7 +119,7 @@ def build_g(source: SourceModel, result: MmiResult) -> ZssFunction:
 def g_rounding_unit(source: SourceModel, ell: int) -> Fraction:
     """A grid unit dividing every value of g: 1 / (denominator LCM of the
     source values times (ell - 1)!)."""
-    return Fraction(1, source.denominator_lcm() * factorial(max(ell - 1, 1)))
+    return Fraction(1, source.integer_table[1] * factorial(max(ell - 1, 1)))
 
 
 def zero_sets(g: ZssFunction) -> tuple[int, ...]:

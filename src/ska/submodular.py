@@ -74,20 +74,19 @@ class SetFunctionOracle:
 
 
 def minimize_bruteforce(
-    f: SetFunctionOracle,
-    family: LatticeFamily,
-    *,
-    cap: int = DEFAULT_BRUTE_FORCE_CAP,
+    f: SetFunctionOracle, family: LatticeFamily
 ) -> tuple[Fraction, int, tuple[int, ...]]:
-    """Exact minimum over the family by full scan.
+    """Exact minimum over the family by full scan, for at most
+    ``DEFAULT_BRUTE_FORCE_CAP`` free elements.
 
     Returns ``(value, minimizer, all_minimizers)`` with the minimizers in
     canonical (ascending free-bits) order.
     """
     bits = bit_positions(family.free_mask)
-    if len(bits) > cap:
+    if len(bits) > DEFAULT_BRUTE_FORCE_CAP:
         raise EnumerationLimitError(
-            f"family has {len(bits)} free elements, above the brute-force cap {cap}"
+            f"family has {len(bits)} free elements, above the brute-force "
+            f"cap {DEFAULT_BRUTE_FORCE_CAP}"
         )
     best: Fraction | None = None
     argmins: list[int] = []
@@ -120,13 +119,7 @@ class MnpResult:
     diagnostic: str | None = None
 
 
-def minimize_mnp(
-    f: SetFunctionOracle,
-    family: LatticeFamily,
-    rounding_unit,
-    *,
-    tolerance: float = WOLFE_TOLERANCE,
-) -> MnpResult:
+def minimize_mnp(f: SetFunctionOracle, family: LatticeFamily, rounding_unit) -> MnpResult:
     """Minimize a submodular ``f`` over the family via the min-norm point.
 
     ``rounding_unit`` must be a positive rational such that every value of
@@ -149,7 +142,7 @@ def minimize_mnp(
     def h(sub: int) -> Fraction:
         return f(family.lower | _embed(sub, bits)) - base
 
-    x, iterations, converged = _wolfe_min_norm_point(h, m, tolerance)
+    x, iterations, converged = _wolfe_min_norm_point(h, m)
 
     # Read candidate minimizers off the optimal point: with the exact
     # min-norm point the strictly-negative coordinates form the smallest
@@ -204,9 +197,7 @@ def minimize_mnp(
     )
 
 
-def _wolfe_min_norm_point(
-    h: Callable[[int], Fraction], m: int, tolerance: float
-) -> tuple[np.ndarray, int, bool]:
+def _wolfe_min_norm_point(h: Callable[[int], Fraction], m: int) -> tuple[np.ndarray, int, bool]:
     """Fujishige-Wolfe: minimum-norm point of the base polytope of ``h``.
 
     Returns ``(point, major_iterations, converged)``. The iteration cap is
@@ -236,7 +227,7 @@ def _wolfe_min_norm_point(
     for it in range(1, max_iter + 1):
         q = vertex_for(x)
         nx = float(x @ x)
-        if nx - float(x @ q) <= tolerance * max(1.0, nx):
+        if nx - float(x @ q) <= WOLFE_TOLERANCE * max(1.0, nx):
             converged = True
             break
         corral.append(q)

@@ -7,6 +7,9 @@ from ska import (
     HypergraphicalSource,
     MissingEdgeError,
     SkaError,
+    UnknownUserError,
+    UserSet,
+    WeightedEdge,
     conjecture_check,
     critical_edges,
     critical_edges_bruteforce,
@@ -19,8 +22,10 @@ from ska import (
     perturbation_verify,
     t_max,
 )
+from ska import source_model
 from ska.analysis import _measured_rate, _optimal_set_contained, _perturbed_table
 from ska.mmi import mmi_core, scaled_entropies
+from ska.rationals import denominator_lcm
 from ska.random_instances import (
     random_hypergraphical,
     random_non_coverage_table,
@@ -292,6 +297,51 @@ def test_perturbation_validates_inputs(base3):
         perturbation_verify(base3, result, ("1",), "increment", epsilon=0)
     with pytest.raises(MissingEdgeError):
         perturbation_verify(base3, result, ("1", "2"), "decrement", epsilon=5)
+
+
+def test_verify_builds_the_integer_table_once(monkeypatch):
+    """Every subset increment and every edge decrement of one source, as
+    ``ska verify`` runs them, on a hypergraph and on a table; each build of
+    a source's integer table computes its scale once."""
+    builds = []
+
+    def counting(values):
+        builds.append(1)
+        return denominator_lcm(values)
+
+    monkeypatch.setattr(source_model, "denominator_lcm", counting)
+    rng = random.Random(43)
+    for source in (random_hypergraphical(rng, 6), random_non_coverage_table(rng, 5)):
+        builds.clear()
+        source.validate()
+        result = mmi(source)
+        for mask in range(1, 1 << source.users.n):
+            assert perturbation_verify(source, result, mask, "increment").ok
+        if isinstance(source, HypergraphicalSource):
+            for mask in dict.fromkeys(source.edge_masks):
+                if source.has_edge(mask) > 0:
+                    assert perturbation_verify(source, result, mask, "decrement").ok
+        assert len(builds) == 1
+
+
+def test_a_bare_string_is_not_read_as_its_characters():
+    u = UserSet(("1", "2", "12"))
+    edges = (("1", "2"), ("2", "12"), ("1", "12"))
+    source = HypergraphicalSource(u, tuple(WeightedEdge(frozenset(e), 1) for e in edges))
+    result = mmi(source)
+    for call in (
+        lambda: u.as_mask("12"),
+        lambda: source.entropy("12"),
+        lambda: growth_rate(source, result, "12"),
+        lambda: loss_rate(source, result, "12"),
+        lambda: perturbation_verify(source, result, "12"),
+    ):
+        with pytest.raises(UnknownUserError, match=r"bare string.*\('12',\)"):
+            call()
+    assert u.as_mask(("12",)) == 0b100
+    assert growth_rate(source, result, ("12",)) == 0
+    assert perturbation_verify(source, result, ("12",)).ok
+    assert loss_rate(source, result, ("1", "2")) == Fraction(1, 2)
 
 
 def test_oversized_step_breaks_the_identity_and_is_reported(tree4):

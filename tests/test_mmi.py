@@ -137,6 +137,43 @@ def test_default_cap_fails_fast_at_13_users(monkeypatch):
         mmi(path13)
 
 
+def test_mmi_rejects_an_invalid_source_before_any_work(monkeypatch):
+    mmi_module = importlib.import_module("ska.mmi")  # ``ska.mmi`` is the function
+
+    def unreachable(*args):
+        raise AssertionError("an invalid source must be rejected before the scan and the core")
+
+    monkeypatch.setattr(kernel, "minimize_over_partitions", unreachable)
+    monkeypatch.setattr(mmi_module, "mmi_core", unreachable)
+    u = users(3)
+    # Not monotone: H({1,3}) = 3 < H({1}) = 4; the partition scan alone reads gamma = 7/2.
+    non_monotone = EntropyTable.from_values(
+        u,
+        {
+            ("1",): 4, ("2",): 1, ("1", "2"): 5, ("3",): 4,
+            ("1", "3"): 3, ("2", "3"): 2, ("1", "2", "3"): Fraction(1, 2),
+        },
+    )
+    negative_weight = hyper(3, (("1", "2"), 1), (("2", "3"), Fraction(-1, 2)))
+    # Monotone, but H({1}) + H({2}) = 2 < H({1,2}) + H(empty set) = 3.
+    non_submodular = EntropyTable.from_values(
+        u,
+        {
+            ("1",): 1, ("2",): 1, ("1", "2"): 3, ("3",): 1,
+            ("1", "3"): 2, ("2", "3"): 2, ("1", "2", "3"): 3,
+        },
+    )
+    kinds = {"monotonicity", "negative-weight", "submodularity"}
+    for source in (non_monotone, negative_weight, non_submodular):
+        report = source.validate()
+        assert not report.ok
+        kinds -= {v.kind for v in report.violations}
+        with pytest.raises(SkaError) as info:
+            mmi(source)
+        assert str(info.value) == f"not a valid source:\n{report}"
+    assert not kinds
+
+
 def test_mmi_on_entropy_table_source(base3):
     table = EntropyTable(
         base3.users, tuple(base3.entropy_mask(m) for m in range(1 << 3))
@@ -325,6 +362,9 @@ def test_subset_core_matches_scan_and_reference_on_400_sources():
         gamma, fundamental = core(source)
         result = mmi(source)
         assert (gamma, fundamental) == (result.gamma, result.fundamental)
+        # F comes from the core; the scan's list checks it independently.
+        assert fundamental in result.optimal_partitions
+        assert all(fundamental.refines(p) for p in result.optimal_partitions)
         if n <= 6:
             ref_gamma, _, ref_finest, _ = mmi_reference(source)
             assert (gamma, fundamental) == (ref_gamma, ref_finest)

@@ -93,9 +93,26 @@ def test_table_normalization_and_monotonicity_violations():
     assert any(v.kind == "monotonicity" for v in decreasing.validate().violations)
 
 
+def all_pairs(n):
+    for a in range(1 << n):
+        for b in range(a + 1, 1 << n):
+            if a & ~b and b & ~a:
+                yield a, b
+
+
+def local_pairs(n):
+    """(A+i, A+j) for every A and every i < j outside A."""
+    for a in range(1 << n):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not (a >> i & 1 or a >> j & 1):
+                    yield a | 1 << i, a | 1 << j
+
+
 def validate_all_pairs(table, max_violations=100):
     """Test-side twin of ``EntropyTable.validate``: the same report from the
-    definitions, with submodularity checked on every non-nested pair."""
+    definitions, with submodularity checked on every non-nested pair up to
+    8 users and on the local pairs above."""
     u = table.users
     h = table.values
     found = []
@@ -119,20 +136,19 @@ def validate_all_pairs(table, max_violations=100):
                 )
                 if len(found) >= max_violations:
                     return ValidationReport(False, tuple(found))
-    for a in range(1 << u.n):
-        for b in range(a + 1, 1 << u.n):
-            if a & ~b and b & ~a and h[a] + h[b] < h[a | b] + h[a & b]:
-                found.append(
-                    Violation(
-                        "submodularity",
-                        labels(a, b),
-                        f"H(A) + H(B) = {h[a] + h[b]} < H(A|B) + H(A&B) = "
-                        f"{h[a | b] + h[a & b]} for A = {{{u.subset_key(a)}}}, "
-                        f"B = {{{u.subset_key(b)}}}",
-                    )
+    for a, b in all_pairs(u.n) if u.n <= 8 else local_pairs(u.n):
+        if h[a] + h[b] < h[a | b] + h[a & b]:
+            found.append(
+                Violation(
+                    "submodularity",
+                    labels(a, b),
+                    f"H(A) + H(B) = {h[a] + h[b]} < H(A|B) + H(A&B) = "
+                    f"{h[a | b] + h[a & b]} for A = {{{u.subset_key(a)}}}, "
+                    f"B = {{{u.subset_key(b)}}}",
                 )
-                if len(found) >= max_violations:
-                    return ValidationReport(False, tuple(found))
+            )
+            if len(found) >= max_violations:
+                return ValidationReport(False, tuple(found))
     return ValidationReport(not found, tuple(found))
 
 
@@ -159,6 +175,23 @@ def test_local_validation_reports_match_the_all_pairs_twin():
         assert corrupted.validate(max_violations=3) == validate_all_pairs(corrupted, 3)
         invalid += not report.ok
     assert invalid >= 40
+
+
+def test_validation_above_eight_users_lists_the_local_pairs():
+    """At n = 9 and 10 the listing walks the local pairs, and so stops at
+    the n^2 2^n cost of the check itself."""
+    rng = random.Random(31)
+    for n, step in ((9, Fraction(1, 2)), (10, Fraction(-1, 3)), (10, Fraction(7))):
+        table = random_non_coverage_table(rng, n)
+        assert table.validate().ok
+        values = list(table.values)
+        values[rng.randrange(1, 1 << n)] += step
+        corrupted = EntropyTable(table.users, tuple(values))
+        report = corrupted.validate()
+        assert not report.ok
+        assert "submodularity" in {v.kind for v in report.violations}
+        assert report == validate_all_pairs(corrupted)
+        assert corrupted.validate(max_violations=2) == validate_all_pairs(corrupted, 2)
 
 
 def moebius_weights(table):

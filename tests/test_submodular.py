@@ -14,6 +14,7 @@ from ska import (
     minimize_mnp,
     mmi,
 )
+from ska import submodular
 from ska.rationals import denominator_lcm
 
 
@@ -87,9 +88,12 @@ def test_bruteforce_single_point_family():
 
 
 def test_bruteforce_cap():
-    f = modular_oracle([Fraction(0)] * 10)
-    with pytest.raises(EnumerationLimitError):
-        minimize_bruteforce(f, LatticeFamily(0, (1 << 10) - 1), cap=5)
+    def never(mask):
+        raise AssertionError("the cap must be checked before any evaluation")
+
+    f = SetFunctionOracle(23, never)
+    with pytest.raises(EnumerationLimitError, match="23 free elements"):
+        minimize_bruteforce(f, LatticeFamily(0, (1 << 23) - 1))
 
 
 # ---------------------------------------------------------------- min-norm point
@@ -176,9 +180,10 @@ def test_contraction_identity():
         assert lower | min(a for a, v in sub_values.items() if v == contracted_min) == best
 
 
-def test_forced_nonconvergence_falls_back_to_bruteforce():
+def test_forced_nonconvergence_falls_back_to_bruteforce(monkeypatch):
+    monkeypatch.setattr(submodular, "WOLFE_TOLERANCE", -1.0)
     f = cut_oracle(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    result = minimize_mnp(f, LatticeFamily(0b0001, 0b0111), Fraction(1), tolerance=-1.0)
+    result = minimize_mnp(f, LatticeFamily(0b0001, 0b0111), Fraction(1))
     assert result.fallback and not result.certified
     assert result.value == minimize_bruteforce(f, LatticeFamily(0b0001, 0b0111))[0]
 
