@@ -15,8 +15,8 @@ can be pitted against each other, exactly, in tests. The replays behind
 :func:`perturbation_verify` do not rerun :func:`ska.mmi.mmi` on the
 perturbed source: each builds the perturbed integer table from the base
 table, takes gamma from the subset core :func:`ska.mmi.mmi_core`, and, at
-the default step, checks containment of the optimal set on zero sets of g
-(:func:`ska.structure.zero_set_pass`).
+the default step, checks that each zero-set union of the perturbed g
+(:func:`ska.structure.zero_set_pass`) is in ``result.optimal_blocks``.
 """
 
 from __future__ import annotations
@@ -227,13 +227,13 @@ def critical_edges_bruteforce(source: SourceModel, result: MmiResult) -> tuple[i
 
 def greedy_critical_edge(source: SourceModel, result: MmiResult) -> tuple[str, ...]:
     """One critical edge by the shrinking scan: start from the full set and
-    drop users in label order whenever the remainder still has positive
-    growth rate."""
+    drop users in label order whenever the remainder still lies inside no
+    optimal block, i.e. still has positive growth rate."""
     users = source.users
     current = users.full_mask
     for i in range(users.n):
         candidate = current & ~(1 << i)
-        if candidate and growth_rate(source, result, candidate) > 0:
+        if candidate and not any(candidate & ~b == 0 for b in result.optimal_blocks):
             current = candidate
     return users.labels_of(current)
 
@@ -392,7 +392,7 @@ def _measured_rate(table, result, mask, mode, eps, *, containment=False):
     measured = sign * (gamma / new_table[1] - result.gamma) / eps
     if not containment:
         return measured, None
-    return measured, _optimal_set_contained(table, result, new_table, gamma, blocks)
+    return measured, _optimal_set_contained(result, new_table, gamma, blocks)
 
 
 def _perturbed_table(table, mask, delta: Fraction):
@@ -405,22 +405,19 @@ def _perturbed_table(table, mask, delta: Fraction):
     return [k * v + e if a & mask else k * v for a, v in enumerate(ent)], k * scale
 
 
-def _optimal_set_contained(table, result, new_table, new_gamma, new_blocks) -> bool:
+def _optimal_set_contained(result, new_table, new_gamma, new_blocks) -> bool:
     """True when every optimal partition of the perturbed source is optimal
     for the original one.
 
     Optimal partitions coarsen the fundamental partition, and one is optimal
     iff each of its blocks is the union of a zero set of g. So containment
     holds iff the union of every nonempty, non-full zero set of the new g is
-    a zero-set union of the old g. ``new_gamma`` is in the units of
+    one of ``result.optimal_blocks``. ``new_gamma`` is in the units of
     ``new_table``.
     """
-    ent, scale = table
-    found, union = zero_set_pass(ent, result.gamma * scale, result.fundamental.blocks)
-    old = {union[b] for b in found}
     found, union = zero_set_pass(new_table[0], new_gamma, new_blocks)
     full = (1 << len(new_blocks)) - 1
-    return all(union[b] in old for b in found if 0 < b < full)
+    return all(union[b] in result.optimal_blocks for b in found if 0 < b < full)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .mmi import MmiResult, check_enumeration_cap, mmi
 from .random_instances import random_hypergraphical, random_pin
 from .rationals import format_rational, parse_rational
 from .source_model import HypergraphicalSource, SourceModel, load_source
-from .structure import t_max as compute_t_max
 
 FORMAT_OPTION = click.option(
     "--format",
@@ -67,11 +66,8 @@ def _enum_cap() -> int | None:
 
 
 def _load(path: str) -> tuple[SourceModel, MmiResult]:
-    """The source at ``path``, rejected unless valid, and its MMI."""
+    """The source at ``path`` and its MMI, which also validates it."""
     source = load_source(path)
-    report = source.validate()
-    if not report.ok:
-        raise SkaError(f"{path} is not a valid source:\n{report}")
     return source, mmi(source, cap=_enum_cap())
 
 
@@ -204,7 +200,7 @@ def excess_command(source_path: str, edge: str, fmt: str) -> None:
 def tmax_command(source_path: str, fmt: str) -> None:
     """Maximal optimal-partition blocks and their dichotomy case."""
     source, result = _load(source_path)
-    report = compute_t_max(source, result)
+    report = structure.t_max(source, result)
     lines = [
         f"case: {report.case}",
         "t_max: " + " ".join("{" + ",".join(s) + "}" for s in report.t_max_labels()),

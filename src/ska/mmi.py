@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import kernel
@@ -46,6 +47,7 @@ class MmiResult:
     ``gap`` is the minimum of ``I_P - gamma`` over non-optimal partitions;
     ``None`` encodes +infinity, i.e. every partition is optimal (always the
     case for two users, and for degenerate sources at any size).
+    ``optimal_blocks`` (cached, not a field) answers "is this an optimal block".
     """
 
     users: UserSet
@@ -58,6 +60,11 @@ class MmiResult:
     def ell(self) -> int:
         """Block count of the fundamental partition."""
         return self.fundamental.n_blocks
+
+    @cached_property
+    def optimal_blocks(self) -> frozenset[int]:
+        """Every block of every optimal partition, as user masks."""
+        return frozenset(b for p in self.optimal_partitions for b in p.blocks)
 
     def to_json_dict(self) -> dict:
         return {

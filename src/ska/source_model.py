@@ -27,6 +27,7 @@ from .rationals import denominator_lcm, format_rational, parse_rational
 # violations of the local pass (pairs A+i, A+j) instead of every violating
 # pair: the all-pairs listing costs 4^n (1.1 s at n=10), the local one n^2 2^n.
 ALL_PAIRS_LISTING_MAX_USERS = 8
+MAX_LISTED_VIOLATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -354,9 +355,9 @@ class EntropyTable(SourceModel):
             tuple(v + epsilon if mask & smask else v for mask, v in enumerate(self.values)),
         )
 
-    def validate(self, max_violations: int = 100) -> ValidationReport:
-        """Check the axioms, listing at most ``max_violations`` violations;
-        see ``ALL_PAIRS_LISTING_MAX_USERS`` for the submodularity listing."""
+    def validate(self) -> ValidationReport:
+        """Check the axioms, listing at most ``MAX_LISTED_VIOLATIONS``; see
+        ``ALL_PAIRS_LISTING_MAX_USERS`` for the submodularity listing."""
         users = self.users
         n = users.n
         h, _ = self.integer_table
@@ -389,7 +390,7 @@ class EntropyTable(SourceModel):
                             ),
                         )
                     )
-                    if len(violations) >= max_violations:
+                    if len(violations) >= MAX_LISTED_VIOLATIONS:
                         return ValidationReport(False, tuple(violations))
         # Local and global submodularity are equivalent, so the local pass
         # decides; the all-pairs scan runs only to list the violations.
@@ -412,7 +413,7 @@ class EntropyTable(SourceModel):
                     ),
                 )
             )
-            if len(violations) >= max_violations:
+            if len(violations) >= MAX_LISTED_VIOLATIONS:
                 break
         return ValidationReport(False, tuple(violations))
 

@@ -13,12 +13,12 @@ the full ground set. That correspondence turns questions about all optimal
 partitions at once (maximal blocks, uniqueness) into questions about the
 zero sets of g.
 
-Both answers come, by default, from one exact integer pass over the 2^ell
-block-index sets (:func:`zero_sets`); ell never exceeds the ground-set size,
-and the default MMI enumeration cap sits below the zero-set cap. The same
-questions can also be asked as submodular function minimizations over
-interval families, solved by the min-norm-point method (``method="greedy"``
-and ``method="sfm"``); that route is kept as the independently tested twin.
+By default both answers read ``MmiResult.optimal_blocks``, whose table-side
+twin is :func:`zero_sets`: one exact integer pass over the 2^ell index sets.
+The same questions can also be asked as submodular function minimizations
+over interval families, solved by the min-norm-point method
+(``method="greedy"`` and ``method="sfm"``); that route is kept as the
+independently tested twin.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class ZssFunction:
     singletons, so the empty set never influences a minimization).
     """
 
-    users: UserSet
     source: SourceModel = field(repr=False)
     gamma: Fraction
     block_masks: tuple[int, ...]
@@ -104,12 +103,15 @@ class ZssFunction:
         return SetFunctionOracle(self.ell, self.value, name="g")
 
 
-def build_g(source: SourceModel, result: MmiResult) -> ZssFunction:
-    """Residual function over the fundamental partition of ``result``."""
+def _check_ground(source: SourceModel, result: MmiResult) -> None:
     if result.users != source.users:
         raise SkaError("MMI result belongs to a different ground set")
+
+
+def build_g(source: SourceModel, result: MmiResult) -> ZssFunction:
+    """Residual function over the fundamental partition of ``result``."""
+    _check_ground(source, result)
     return ZssFunction(
-        users=source.users,
         source=source,
         gamma=result.gamma,
         block_masks=result.fundamental.blocks,
@@ -263,14 +265,16 @@ def t_max(source: SourceModel, result: MmiResult, *, method: str = "zerosets") -
     (exclude, seed) index pair — O(ell^2) greedy runs, so every maximal
     element is found regardless of insertion-order effects — plus the
     fundamental blocks themselves; each growth step is a min-norm-point
-    minimization. ``method="zerosets"`` (the default) derives the family
-    from the exact zero-set pass instead.
+    minimization. ``method="zerosets"`` (the default) takes the family from
+    ``result.optimal_blocks`` instead.
     """
-    g = build_g(source, result)
-    ell = g.ell
-    full_idx = (1 << ell) - 1
-    candidates = set(g.block_masks)
-    if method == "greedy":
+    if method == "zerosets":
+        _check_ground(source, result)
+        candidates = result.optimal_blocks
+    elif method == "greedy":
+        g = build_g(source, result)
+        ell = g.ell
+        candidates = set(g.block_masks)
         oracle = g.as_oracle()
         for i in range(ell):
             for j in range(ell):
@@ -279,10 +283,6 @@ def t_max(source: SourceModel, result: MmiResult, *, method: str = "zerosets") -
                 b = maximal_zero_set(g, i, j, _oracle=oracle)
                 if b is not None:
                     candidates.add(g.union_mask(b))
-    elif method == "zerosets":
-        for b in zero_sets(g):
-            if b not in (0, full_idx):
-                candidates.add(g.union_mask(b))
     else:
         raise SkaError(f"unknown method {method!r}")
 
@@ -337,16 +337,15 @@ def is_unique_optimal(
     index k, that g stays positive over ``{B : {i,j} <= B <= [ell] - {k}}``;
     excluding k is what removes the always-zero full index set from the
     family; each check is a min-norm-point minimization.
-    ``method="zerosets"`` (the default) inspects the exact zero-set pass.
+    ``method="zerosets"`` (the default) reads ``result.optimal_blocks``.
     """
-    g = build_g(source, result)
-    ell = g.ell
-    if ell == 2:
-        return True
     if method == "zerosets":
-        return not any(2 <= b.bit_count() <= ell - 1 for b in zero_sets(g))
+        _check_ground(source, result)
+        return result.optimal_blocks == set(result.fundamental.blocks)
     if method != "sfm":
         raise SkaError(f"unknown method {method!r}")
+    g = build_g(source, result)
+    ell = g.ell
     oracle = g.as_oracle()
     unit = g_rounding_unit(source, ell)
     full_idx = (1 << ell) - 1

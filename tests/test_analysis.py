@@ -201,6 +201,35 @@ def test_greedy_scan_lands_in_the_critical_family():
         assert found in critical_edges(source, result).edges
 
 
+def test_greedy_scan_matches_the_growth_rate_scan():
+    """Inside no optimal block is positive growth rate: the scan over
+    ``result.optimal_blocks`` drops the same users as the shrinking scan on
+    ``growth_rate > 0``."""
+
+    def scan_on_growth_rate(source, result):
+        users = source.users
+        current = users.full_mask
+        for i in range(users.n):
+            candidate = current & ~(1 << i)
+            if candidate and growth_rate(source, result, candidate) > 0:
+                current = candidate
+        return users.labels_of(current)
+
+    rng = random.Random(17)
+    sources = []
+    for _ in range(8):
+        n = rng.randint(3, 7)
+        sources += [
+            random_hypergraphical(rng, n),
+            random_pin(rng, n),
+            random_tree_pin(rng, n),
+            random_non_coverage_table(rng, n),
+        ]
+    for source in sources:
+        result = mmi(source)
+        assert greedy_critical_edge(source, result) == scan_on_growth_rate(source, result)
+
+
 # ---------------------------------------------------------------- loss / excess
 
 def test_loss_rate_examples(base3):
@@ -357,7 +386,7 @@ def test_oversized_step_breaks_the_identity_and_is_reported(tree4):
     table = scaled_entropies(tree4)
     new_table = _perturbed_table(table, 0b1001, Fraction(10))
     gamma, blocks = mmi_core(new_table[0])
-    assert not _optimal_set_contained(table, result, new_table, gamma, blocks)
+    assert not _optimal_set_contained(result, new_table, gamma, blocks)
     assert measured_rate_by_rescan(tree4, result, 0b1001, "increment", 10) == (
         Fraction(1, 20),
         False,

@@ -1,12 +1,18 @@
+import functools
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+from ska import EntropyTable, HypergraphicalSource, analysis
+from ska.analysis import perturbation_verify, zero_set_pass
 from ska.cli import main
+from ska.mmi import MmiResult
+from ska.random_instances import random_non_coverage_table
 
 from .conftest import CORPUS, NON_LIST_DOCUMENTS, REPO_ROOT, TABLE_WITH_A_SUBSET_TWICE
 
@@ -50,6 +56,45 @@ def test_verify_passes_over_the_whole_corpus(runner):
     for name in CORPUS_FILES:
         result = runner.invoke(main, ["verify", str(CORPUS / f"{name}.json")])
         assert result.exit_code == 0, f"{name}: {result.output}"
+
+
+def test_verify_reads_the_original_optimal_blocks_once(runner, tmp_path, monkeypatch):
+    """A full ``ska verify`` builds ``optimal_blocks`` once and runs the
+    zero-set pass only on perturbed tables, at most once per replay."""
+    table = random_non_coverage_table(random.Random(5), 4)
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(table.to_json_dict()))
+    original = MmiResult.__dict__["optimal_blocks"]
+    builds, passes, replays = [], [], []
+
+    def counting_blocks(result):
+        builds.append(result)
+        return original.func(result)
+
+    blocks = functools.cached_property(counting_blocks)
+    blocks.__set_name__(MmiResult, "optimal_blocks")
+    monkeypatch.setattr(MmiResult, "optimal_blocks", blocks)
+
+    def counting_pass(ent, gamma, fundamental):
+        passes.append(ent)
+        return zero_set_pass(ent, gamma, fundamental)
+
+    monkeypatch.setattr(analysis, "zero_set_pass", counting_pass)
+
+    def counting_replay(source, *args, **kwargs):
+        replays.append(source)
+        return perturbation_verify(source, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "perturbation_verify", counting_replay)
+    for path in (CORPUS / "tree.json", table_path):
+        for calls in (builds, passes, replays):
+            calls.clear()
+        result = runner.invoke(main, ["verify", str(path)])
+        assert result.exit_code == 0, result.output
+        assert len(builds) == 1
+        assert 0 < len(passes) <= len(replays)
+        base = list(replays[0].integer_table[0])
+        assert all(list(ent) != base for ent in passes)
 
 
 # ---------------------------------------------------------------- text mode
@@ -130,6 +175,58 @@ def test_invalid_source_exits_2(runner, tmp_path):
     assert "negative weight" in result.output
     validate = runner.invoke(main, ["validate", str(bad)])
     assert validate.exit_code == 2
+
+
+def test_an_invalid_table_is_validated_once(runner, tmp_path, monkeypatch):
+    """``mmi`` is the only validator: the CLI does not check the source
+    again before calling it."""
+    bad = tmp_path / "nonmonotone.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "users": ["1", "2", "3"],
+                "model": "table",
+                "entropy": {
+                    "1": "1", "2": "1", "3": "1",
+                    "1,2": "2", "1,3": "2", "2,3": "2", "1,2,3": "1",
+                },
+            }
+        )
+    )
+    calls = []
+    original = EntropyTable.validate
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(EntropyTable, "validate", counting)
+    result = runner.invoke(main, ["mmi", str(bad)])
+    assert result.exit_code == 2
+    assert "error: not a valid source:\n" in result.output
+    assert "monotonicity" in result.output
+    assert len(calls) == 1
+
+
+def test_an_over_cap_invalid_document_fails_at_the_cap(runner, tmp_path, monkeypatch):
+    """Above the cap nothing is validated: the error names the cap."""
+    path = tmp_path / "negative13.json"
+    edges = [{"members": [str(i), str(i + 1)], "weight": "1"} for i in range(1, 13)]
+    edges.append({"members": ["1", "13"], "weight": "-1"})
+    path.write_text(json.dumps({
+        "users": [str(i) for i in range(1, 14)],
+        "model": "hypergraph",
+        "edges": edges,
+    }))
+
+    def unreachable(self):
+        raise AssertionError("an over-cap source must not be validated")
+
+    for cls in (EntropyTable, HypergraphicalSource):
+        monkeypatch.setattr(cls, "validate", unreachable)
+    result = runner.invoke(main, ["mmi", str(path)])
+    assert result.exit_code == 2
+    assert "cap of 12" in result.output
 
 
 def test_unknown_flag_exits_2(runner):

@@ -18,6 +18,7 @@ from ska import (
     pin_source,
     source_from_json_dict,
 )
+from ska import source_model
 from ska.random_instances import random_hypergraphical, random_non_coverage_table
 from ska.source_model import ValidationReport, Violation
 
@@ -152,7 +153,7 @@ def validate_all_pairs(table, max_violations=100):
     return ValidationReport(not found, tuple(found))
 
 
-def test_local_validation_reports_match_the_all_pairs_twin():
+def test_local_validation_reports_match_the_all_pairs_twin(monkeypatch):
     rng = random.Random(23)
     invalid = 0
     for trial in range(60):
@@ -172,12 +173,14 @@ def test_local_validation_reports_match_the_all_pairs_twin():
         corrupted = EntropyTable(table.users, tuple(values))
         report = corrupted.validate()
         assert report == validate_all_pairs(corrupted)
-        assert corrupted.validate(max_violations=3) == validate_all_pairs(corrupted, 3)
+        with monkeypatch.context() as m:
+            m.setattr(source_model, "MAX_LISTED_VIOLATIONS", 3)
+            assert corrupted.validate() == validate_all_pairs(corrupted, 3)
         invalid += not report.ok
     assert invalid >= 40
 
 
-def test_validation_above_eight_users_lists_the_local_pairs():
+def test_validation_above_eight_users_lists_the_local_pairs(monkeypatch):
     """At n = 9 and 10 the listing walks the local pairs, and so stops at
     the n^2 2^n cost of the check itself."""
     rng = random.Random(31)
@@ -191,7 +194,9 @@ def test_validation_above_eight_users_lists_the_local_pairs():
         assert not report.ok
         assert "submodularity" in {v.kind for v in report.violations}
         assert report == validate_all_pairs(corrupted)
-        assert corrupted.validate(max_violations=2) == validate_all_pairs(corrupted, 2)
+        with monkeypatch.context() as m:
+            m.setattr(source_model, "MAX_LISTED_VIOLATIONS", 2)
+            assert corrupted.validate() == validate_all_pairs(corrupted, 2)
 
 
 def moebius_weights(table):

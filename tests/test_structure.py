@@ -130,15 +130,22 @@ def test_zero_sets_form_an_intersecting_family():
 
 
 def test_zero_set_unions_are_exactly_the_optimal_blocks_plus_ground():
+    # result.optimal_blocks, read from the optimal list, is the table-side
+    # zero-set family without the full index set
     rng = random.Random(79)
-    for _ in range(25):
-        source = random_hypergraphical(rng, rng.randint(3, 6))
+    sources = [random_hypergraphical(rng, rng.randint(3, 6)) for _ in range(25)]
+    sources += [random_non_coverage_table(rng, rng.randint(3, 6)) for _ in range(12)]
+    for source in sources:
         result = mmi(source)
         g = build_g(source, result)
         from_zero_sets = {g.union_mask(b) for b in zero_sets(g) if b}
         from_partitions = {b for p in result.optimal_partitions for b in p.blocks}
         from_partitions.add(source.users.full_mask)
         assert from_zero_sets == from_partitions
+        full_idx = (1 << g.ell) - 1
+        assert result.optimal_blocks == {
+            g.union_mask(b) for b in zero_sets(g) if 0 < b < full_idx
+        }
 
 
 def test_g_values_live_on_the_declared_grid():
@@ -372,3 +379,24 @@ def test_two_block_fundamental_is_always_unique(pair_only):
     result = mmi(pair_only)
     assert result.ell == 2
     assert is_unique_optimal(pair_only, result, method="sfm")
+    assert is_unique_optimal(pair_only, result)
+
+
+def test_default_routes_read_the_optimal_blocks(monkeypatch):
+    """The default t_max and is_unique_optimal answer from
+    ``result.optimal_blocks``: they build no g and run no zero-set pass."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a default route rederived the zero sets")
+
+    sources = mixed_sources(89, 16)
+    results = [mmi(source) for source in sources]
+    expected = [
+        (t_max(s, r, method="greedy"), is_unique_optimal(s, r, method="sfm"))
+        for s, r in zip(sources, results)
+    ]
+    monkeypatch.setattr(structure, "build_g", unreachable)
+    monkeypatch.setattr(structure, "zero_set_pass", unreachable)
+    for source, result, (report, unique) in zip(sources, results, expected):
+        assert t_max(source, result) == report
+        assert is_unique_optimal(source, result) is unique
