@@ -1,12 +1,15 @@
 """Exact analysis of multivariate mutual information on finite source models.
 
 The package computes the MMI (the secrecy capacity of multiterminal secret
-key agreement without helpers) of hypergraphical and tabulated sources by
-exact enumeration, and analyzes how it moves when common randomness is added
-to or removed from user subsets: growth and loss rates, critical and excess
-edges, the maximal-optimal-block dichotomy, and optimal-partition
-uniqueness. Every closed-form route has a brute-force twin, and all reported
-values are exact rationals.
+key agreement without helpers) of hypergraphical and tabulated sources, and
+analyzes how it moves when common randomness is added to or removed from
+user subsets: growth and loss rates, critical and excess edges, the
+maximal-optimal-block dichotomy, and optimal-partition uniqueness. gamma,
+the optimal partitions and the gap come from one scan over every partition
+(:mod:`ska.kernel`), checked against a subset core that also gives the
+fundamental partition (:func:`ska.mmi.mmi_core`). Every closed-form route
+has a brute-force twin in the tests, and all reported values are exact
+rationals.
 """
 
 from .analysis import (
@@ -40,7 +43,7 @@ from .mmi import (
     i_p,
     mmi,
 )
-from .partitions import Partition, enumerate_partitions, partition_from_rgs, restricted_growth_strings
+from .partitions import Partition
 from .rationals import denominator_lcm, format_rational, parse_rational
 from .source_model import (
     EntropyTable,
@@ -62,7 +65,6 @@ from .structure import (
     is_unique_optimal,
     maximal_zero_set,
     t_max,
-    zero_sets,
 )
 from .submodular import (
     LatticeFamily,

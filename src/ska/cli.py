@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+from typing import Callable, Iterable
 
 import click
 
@@ -78,11 +79,14 @@ def _parse_subset(raw: str) -> tuple[str, ...]:
     return labels
 
 
-def _emit(fmt: str, payload: dict, text_lines: list[str]) -> None:
+def _emit(
+    fmt: str, payload: Callable[[], dict], text_lines: Callable[[], Iterable[str]]
+) -> None:
+    """Print the report in ``fmt``; only that format's builder is called."""
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(json.dumps(payload(), indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             click.echo(line)
 
 
@@ -94,8 +98,8 @@ def mmi_command(source_path: str, fmt: str) -> None:
     _, result = _load(source_path)
     _emit(
         fmt,
-        result.to_json_dict(),
-        [
+        result.to_json_dict,
+        lambda: [
             f"gamma: {format_rational(result.gamma)}",
             f"fundamental: {result.fundamental}",
             f"gap: {'inf' if result.gap is None else format_rational(result.gap)}",
@@ -110,10 +114,14 @@ def mmi_command(source_path: str, fmt: str) -> None:
 def partitions_command(source_path: str, fmt: str) -> None:
     """All optimal partitions."""
     _, result = _load(source_path)
-    lines = [f"gamma: {format_rational(result.gamma)}"]
-    lines += [f"  {p}" for p in result.optimal_partitions]
-    lines.append(f"fundamental: {result.fundamental}")
-    _emit(fmt, result.to_json_dict(), lines)
+
+    def lines():
+        yield f"gamma: {format_rational(result.gamma)}"
+        for p in result.optimal_partitions:
+            yield f"  {p}"
+        yield f"fundamental: {result.fundamental}"
+
+    _emit(fmt, result.to_json_dict, lines)
 
 
 @main.command("critical")
@@ -124,13 +132,16 @@ def critical_command(source_path: str, fmt: str) -> None:
     source, result = _load(source_path)
     report = analysis.critical_edges(source, result)
     greedy = analysis.greedy_critical_edge(source, result)
-    lines = [
-        f"case: {report.case}",
-        f"common size: {report.common_size}",
-        "edges: " + " ".join("{" + ",".join(e) + "}" for e in report.edge_labels()),
-        "greedy scan finds: {" + ",".join(greedy) + "}",
-    ]
-    _emit(fmt, report.to_json_dict(), lines)
+    _emit(
+        fmt,
+        report.to_json_dict,
+        lambda: [
+            f"case: {report.case}",
+            f"common size: {report.common_size}",
+            "edges: " + " ".join("{" + ",".join(e) + "}" for e in report.edge_labels()),
+            "greedy scan finds: {" + ",".join(greedy) + "}",
+        ],
+    )
 
 
 @main.command("growth")
@@ -146,16 +157,19 @@ def growth_command(source_path: str, k_max: int | None, subset: str | None, fmt:
         rate = analysis.growth_rate(source, result, labels)
         _emit(
             fmt,
-            {"subset": list(labels), "growth_rate": format_rational(rate)},
-            [f"growth rate of {{{','.join(labels)}}}: {format_rational(rate)}"],
+            lambda: {"subset": list(labels), "growth_rate": format_rational(rate)},
+            lambda: [f"growth rate of {{{','.join(labels)}}}: {format_rational(rate)}"],
         )
         return
     curve = analysis.growth_curve(source, result, k_max)
-    lines = ["k  rate  witness"]
-    for k, value in enumerate(curve.values):
-        witness = ",".join(curve.witness_labels(k)) or "-"
-        lines.append(f"{k}  {format_rational(value)}  {witness}")
-    _emit(fmt, curve.to_json_dict(), lines)
+
+    def lines():
+        yield "k  rate  witness"
+        for k, value in enumerate(curve.values):
+            witness = ",".join(curve.witness_labels(k)) or "-"
+            yield f"{k}  {format_rational(value)}  {witness}"
+
+    _emit(fmt, curve.to_json_dict, lines)
 
 
 @main.command("loss")
@@ -170,8 +184,8 @@ def loss_command(source_path: str, edge: str, fmt: str) -> None:
     excess = analysis.is_excess(source, result, labels)
     _emit(
         fmt,
-        {"edge": list(labels), "loss_rate": format_rational(rate), "excess": excess},
-        [
+        lambda: {"edge": list(labels), "loss_rate": format_rational(rate), "excess": excess},
+        lambda: [
             f"loss rate of {{{','.join(labels)}}}: {format_rational(rate)}",
             f"excess: {'yes' if excess else 'no'}",
         ],
@@ -189,8 +203,8 @@ def excess_command(source_path: str, edge: str, fmt: str) -> None:
     excess = analysis.is_excess(source, result, labels)
     _emit(
         fmt,
-        {"edge": list(labels), "excess": excess},
-        [f"{{{','.join(labels)}}} is {'an excess' if excess else 'not an excess'} edge"],
+        lambda: {"edge": list(labels), "excess": excess},
+        lambda: [f"{{{','.join(labels)}}} is {'an excess' if excess else 'not an excess'} edge"],
     )
 
 
@@ -201,18 +215,18 @@ def tmax_command(source_path: str, fmt: str) -> None:
     """Maximal optimal-partition blocks and their dichotomy case."""
     source, result = _load(source_path)
     report = structure.t_max(source, result)
-    lines = [
-        f"case: {report.case}",
-        "t_max: " + " ".join("{" + ",".join(s) + "}" for s in report.t_max_labels()),
-    ]
-    if report.case == "T1":
-        lines.append(f"coarsest optimal partition: {report.coarsest_optimal}")
-    else:
-        lines.append(
-            "complements: "
-            + " ".join("{" + ",".join(s) + "}" for s in report.complement_labels())
-        )
-    _emit(fmt, report.to_json_dict(), lines)
+
+    def lines():
+        yield f"case: {report.case}"
+        yield "t_max: " + " ".join("{" + ",".join(s) + "}" for s in report.t_max_labels())
+        if report.case == "T1":
+            yield f"coarsest optimal partition: {report.coarsest_optimal}"
+        else:
+            yield "complements: " + " ".join(
+                "{" + ",".join(s) + "}" for s in report.complement_labels()
+            )
+
+    _emit(fmt, report.to_json_dict, lines)
 
 
 @main.command("unique")
@@ -224,8 +238,8 @@ def unique_command(source_path: str, fmt: str) -> None:
     unique = structure.is_unique_optimal(source, result)
     _emit(
         fmt,
-        {"unique_optimal": unique},
-        [f"unique optimal partition: {'yes' if unique else 'no'}"],
+        lambda: {"unique_optimal": unique},
+        lambda: [f"unique optimal partition: {'yes' if unique else 'no'}"],
     )
 
 
@@ -235,7 +249,7 @@ def unique_command(source_path: str, fmt: str) -> None:
 def validate_command(source_path: str, fmt: str) -> None:
     """Check the source's entropy function axioms."""
     report = load_source(source_path).validate()
-    _emit(fmt, report.to_json_dict(), [str(report)])
+    _emit(fmt, report.to_json_dict, lambda: [str(report)])
     if not report.ok:
         sys.exit(2)
 
@@ -277,9 +291,13 @@ def verify_command(
         analysis.perturbation_verify(source, result, labels, mode, epsilon=eps)
         for labels, mode in jobs
     ]
-    payload = {"verdicts": [v.to_json_dict() for v in verdicts], "ok": all(v.ok for v in verdicts)}
-    _emit(fmt, payload, [v.describe() for v in verdicts])
-    if not payload["ok"]:
+    ok = all(v.ok for v in verdicts)
+    _emit(
+        fmt,
+        lambda: {"verdicts": [v.to_json_dict() for v in verdicts], "ok": ok},
+        lambda: (v.describe() for v in verdicts),
+    )
+    if not ok:
         sys.exit(3)
 
 
@@ -316,25 +334,29 @@ def conjecture_command(
         reports.append((f"random[{index}]", analysis.conjecture_check(source, result)))
     holds = sum(r.counts[0] for _, r in reports)
     total = sum(r.counts[1] for _, r in reports)
-    payload = {
-        "instances": [
-            {"name": name, **report.to_json_dict()} for name, report in reports
-        ],
-        "holds": holds,
-        "total": total,
-        "all_hold": holds == total,
-    }
-    lines = []
-    for name, report in reports:
-        h, t = report.counts
-        lines.append(f"{name}: {h}/{t} critical edges match the guess")
-        for entry in report.entries:
-            mark = "ok" if entry.holds else "VIOLATION"
-            lines.append(
-                f"  {{{','.join(entry.edge)}}}: rate {format_rational(entry.rate)}"
-                f" vs predicted {format_rational(entry.predicted)} [{mark}]"
-            )
-    lines.append(f"total: {holds}/{total}")
+
+    def payload():
+        return {
+            "instances": [
+                {"name": name, **report.to_json_dict()} for name, report in reports
+            ],
+            "holds": holds,
+            "total": total,
+            "all_hold": holds == total,
+        }
+
+    def lines():
+        for name, report in reports:
+            h, t = report.counts
+            yield f"{name}: {h}/{t} critical edges match the guess"
+            for entry in report.entries:
+                mark = "ok" if entry.holds else "VIOLATION"
+                yield (
+                    f"  {{{','.join(entry.edge)}}}: rate {format_rational(entry.rate)}"
+                    f" vs predicted {format_rational(entry.predicted)} [{mark}]"
+                )
+        yield f"total: {holds}/{total}"
+
     _emit(fmt, payload, lines)
 
 

@@ -7,9 +7,8 @@ of the ground set with at least two blocks and minimize
 
 using exact integer cross-multiplication throughout. Partitions are walked as
 restricted growth strings in lexicographic order; integers are Python's
-arbitrary-precision ones, so no input overflows. The walk is inlined here
-rather than taken from ``partitions.restricted_growth_strings`` because this
-loop is where ``mmi`` spends its time.
+arbitrary-precision ones, so no input overflows. This is the package's only
+walk over partitions; the tests keep a separate one as its oracle.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ def minimize_over_partitions(n: int, ent: Sequence[int]):
 
     ``ent`` holds ``2**n`` integers, ``ent[mask]`` being the scaled entropy
     of subset ``mask``. ``(best_num, best_den)`` is the minimum objective as
-    an unreduced integer pair, ``minimizers`` the restricted growth strings
-    of all partitions attaining it, in scan order. ``(run_num, run_den)`` is
-    the smallest objective strictly above the minimum; ``has_run`` is False
-    when every partition is optimal.
+    an unreduced integer pair, ``minimizers`` the block-mask tuples of all
+    partitions attaining it, in scan order (blocks by ascending minimum
+    element). ``(run_num, run_den)`` is the smallest objective strictly
+    above the minimum; ``has_run`` is False when every partition is optimal.
     """
     if n < 2:
         raise ValueError("need at least two elements")
@@ -78,16 +77,16 @@ def minimize_over_partitions(n: int, ent: Sequence[int]):
 
         if best_den == 0:
             best_num, best_den = num, den
-            minimizers = [tuple(a)]
+            minimizers = [tuple(blocks[:k_blocks])]
             continue
         lhs = num * best_den
         rhs = best_num * den
         if lhs < rhs:
             run_num, run_den = best_num, best_den
             best_num, best_den = num, den
-            minimizers = [tuple(a)]
+            minimizers = [tuple(blocks[:k_blocks])]
         elif lhs == rhs:
-            minimizers.append(tuple(a))
+            minimizers.append(tuple(blocks[:k_blocks]))
         elif run_den == 0 or num * run_den < run_num * den:
             run_num, run_den = num, den
 

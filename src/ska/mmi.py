@@ -32,7 +32,7 @@ from typing import Sequence
 
 from . import kernel
 from .errors import ConsistencyError, EnumerationLimitError, GroundSetMismatchError, SkaError
-from .partitions import Partition, partition_from_rgs
+from .partitions import Partition
 from .rationals import format_rational
 from .source_model import SourceModel, UserSet
 
@@ -173,7 +173,7 @@ def mmi(source: SourceModel, *, cap: int | None = None) -> MmiResult:
         raise ConsistencyError("subset core and scan disagree on gamma; this indicates a bug")
     optimal = tuple(
         sorted(
-            (partition_from_rgs(users, rgs) for rgs in minimizers),
+            (Partition(users, found) for found in minimizers),
             key=lambda p: p.blocks,
         )
     )

@@ -1,15 +1,14 @@
-"""Set partitions of the ground set: ordering, meet, and streaming enumeration.
+"""Set partitions of the ground set, as :func:`ska.mmi` reports them.
 
 A partition is a tuple of disjoint block bitmasks covering the ground set,
 kept in canonical order (ascending minimum element), so equality and hashing
-are syntactic. Enumeration walks restricted growth strings, which gives a
-deterministic order without ever materialising the Bell-number-sized list.
+are syntactic. The one walk over all partitions is the scan in
+:mod:`ska.kernel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from .errors import GroundSetMismatchError, SkaError
 from .source_model import UserSet
@@ -39,11 +38,6 @@ class Partition:
         blocks = tuple(sorted(blocks, key=lambda m: m & -m))
         object.__setattr__(self, "blocks", blocks)
 
-    @classmethod
-    def of(cls, users: UserSet, blocks: Iterable) -> "Partition":
-        """Build from blocks given as masks or label iterables."""
-        return cls(users, tuple(users.as_mask(b) for b in blocks))
-
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
@@ -62,12 +56,6 @@ class Partition:
         self._require_same_ground(other)
         return all(any(b & ~q == 0 for q in other.blocks) for b in self.blocks)
 
-    def meet(self, other: "Partition") -> "Partition":
-        """Coarsest common refinement: all nonempty pairwise intersections."""
-        self._require_same_ground(other)
-        inter = [b & q for b in self.blocks for q in other.blocks]
-        return Partition(self.users, tuple(m for m in inter if m))
-
     def _require_same_ground(self, other: "Partition") -> None:
         if self.users != other.users:
             raise GroundSetMismatchError("partitions are over different ground sets")
@@ -77,48 +65,3 @@ class Partition:
 
     def __str__(self) -> str:
         return " | ".join(",".join(block) for block in self.label_blocks())
-
-
-def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """All restricted growth strings of length ``n``, lexicographically.
-
-    String ``a`` encodes the partition in which elements ``i`` and ``j``
-    share a block iff ``a[i] == a[j]``; block numbers appear in order of
-    first use, so decoding yields blocks sorted by minimum element.
-    """
-    if n < 1:
-        raise SkaError("ground set must be nonempty")
-    a = [0] * n
-    b = [1] * n  # b[i] = 1 + max(a[:i]); the ceiling for a[i]
-    while True:
-        yield tuple(a)
-        j = n - 1
-        while j > 0 and a[j] == b[j]:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        m = b[j] if b[j] > a[j] + 1 else a[j] + 1
-        for k in range(j + 1, n):
-            a[k] = 0
-            b[k] = m
-
-
-def partition_from_rgs(users: UserSet, rgs: Sequence[int]) -> Partition:
-    """Decode a restricted growth string into a canonical partition."""
-    k = max(rgs) + 1
-    blocks = [0] * k
-    for i, c in enumerate(rgs):
-        blocks[c] |= 1 << i
-    return Partition(users, tuple(blocks))
-
-
-def enumerate_partitions(users: UserSet, min_blocks: int = 1) -> Iterator[Partition]:
-    """Yield every partition of the ground set with at least ``min_blocks``
-    blocks, exactly once, in restricted-growth-string order."""
-    n = users.n
-    if not 1 <= min_blocks <= n:
-        raise SkaError(f"min_blocks must lie in 1..{n}, got {min_blocks}")
-    for rgs in restricted_growth_strings(n):
-        if max(rgs) + 1 >= min_blocks:
-            yield partition_from_rgs(users, rgs)

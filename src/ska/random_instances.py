@@ -1,6 +1,6 @@
-"""Seeded random source generators for test batteries and CLI batches.
+"""Seeded random sources for ``ska conjecture --batch``.
 
-All generators take an explicit ``random.Random`` so batches are
+Both generators take an explicit ``random.Random`` so batches are
 reproducible from a seed.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .source_model import EntropyTable, HypergraphicalSource, UserSet, WeightedEdge, pin_source
+from .source_model import HypergraphicalSource, UserSet, WeightedEdge, pin_source
 
 
 def _users(n: int) -> UserSet:
@@ -44,42 +44,3 @@ def random_pin(rng: random.Random, n: int) -> HypergraphicalSource:
     if not chosen:
         chosen = [rng.choice(pairs)]
     return pin_source([(i, j, 1) for i, j in chosen], users=users)
-
-
-def random_tree_pin(rng: random.Random, n: int) -> HypergraphicalSource:
-    """Random unit-weight tree on users "1".."n" (uniform attachment)."""
-    users = _users(n)
-    edges = [(rng.randint(1, i), i + 1, 1) for i in range(1, n)]
-    return pin_source(edges, users=users)
-
-
-def random_non_coverage_table(rng: random.Random, n: int) -> EntropyTable:
-    """Random valid entropy table on users "1".."n" (n >= 3) that no
-    hypergraph produces: ``coverage(S) + c * min(|S & W|, r)``.
-
-    The coverage part is a random tree or hypergraph; ``W`` has at least 3
-    users, ``1 < r < |W|`` and c > 0. Adding a uniform-matroid rank keeps
-    the table normalized, monotone and submodular. That rank term puts the
-    Moebius weight ``-c * (|W| - r)`` on every set of ``|W| - r + 2`` users
-    inside W; coverage edges on exactly those sets are dropped, so the
-    weight stays negative and the table is not a coverage function.
-    """
-    if n < 3:
-        raise ValueError("a non-coverage table needs at least 3 users")
-    cover = random_tree_pin(rng, n) if rng.random() < 0.5 else random_hypergraphical(rng, n)
-    w = rng.choice([m for m in range(1 << n) if m.bit_count() >= 3])
-    c = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-    size = w.bit_count()
-    r = rng.randint(2, size - 1)
-    negative_size = size - r + 2
-    edges = [
-        (emask, e.weight)
-        for emask, e in zip(cover.edge_masks, cover.edges)
-        if emask & ~w or emask.bit_count() != negative_size
-    ]
-    values = [
-        sum((weight for emask, weight in edges if emask & m), Fraction(0))
-        + c * min((m & w).bit_count(), r)
-        for m in range(1 << n)
-    ]
-    return EntropyTable(cover.users, tuple(values))

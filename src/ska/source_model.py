@@ -139,10 +139,6 @@ class SourceModel:
     def entropy_mask(self, mask: int) -> Fraction:
         raise NotImplementedError
 
-    def entropy(self, subset) -> Fraction:
-        """H(Z_B) for a subset of users (labels or bitmask)."""
-        return self.entropy_mask(self.users.as_mask(subset))
-
     def increment(self, subset, epsilon) -> "SourceModel":
         """Source with extra common randomness of entropy ``epsilon`` on the
         subset: ``H'(B) = H(B) + epsilon`` whenever B meets the subset.
@@ -541,4 +537,8 @@ def load_source(path) -> SourceModel:
             data = json.load(fh, object_pairs_hook=_distinct_keys)
         except json.JSONDecodeError as exc:
             raise SkaError(f"malformed JSON in {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SkaError(f"{path} is not UTF-8 text: {exc}") from None
+        except RecursionError:
+            raise SkaError(f"{path} nests JSON values too deeply to parse") from None
     return source_from_json_dict(data)

@@ -13,12 +13,13 @@ the full ground set. That correspondence turns questions about all optimal
 partitions at once (maximal blocks, uniqueness) into questions about the
 zero sets of g.
 
-By default both answers read ``MmiResult.optimal_blocks``, whose table-side
-twin is :func:`zero_sets`: one exact integer pass over the 2^ell index sets.
-The same questions can also be asked as submodular function minimizations
-over interval families, solved by the min-norm-point method
-(``method="greedy"`` and ``method="sfm"``); that route is kept as the
-independently tested twin.
+By default both answers read ``MmiResult.optimal_blocks``.
+:func:`zero_set_pass` finds the zero sets in one exact integer pass over the
+2^ell index sets; ``verify`` runs it on perturbed tables, and the tests
+check it against ``optimal_blocks``. The same questions can also be asked
+as submodular function minimizations over interval families, solved by the
+min-norm-point method (``method="greedy"`` and ``method="sfm"``); that
+route is kept as the independently tested twin.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .errors import ConsistencyError, EnumerationLimitError, SkaError
-from .mmi import MmiResult, scaled_entropies
+from .errors import ConsistencyError, SkaError
+from .mmi import MmiResult
 from .partitions import Partition
 from .source_model import SourceModel, UserSet
 from .submodular import (
@@ -41,8 +42,6 @@ from .submodular import (
 )
 
 log = logging.getLogger(__name__)
-
-ZERO_SET_ENUMERATION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -88,16 +87,6 @@ class ZssFunction:
                 result -= self._residuals[i]
         return result
 
-    def formula_value(self, index_set: int) -> Fraction:
-        """The defining expression without the empty-set convention: at the
-        empty set it equals ``-gamma``, which is the value under which the
-        function is submodular across all pairs. :meth:`value` pins the
-        empty set to 0 instead, purely for zero-set bookkeeping; no
-        minimization ever evaluates the empty set."""
-        if index_set == 0:
-            return -self.gamma
-        return self.value(index_set)
-
     def as_oracle(self) -> SetFunctionOracle:
         """``g`` behind the memoizing oracle that every minimization reads."""
         return SetFunctionOracle(self.ell, self.value, name="g")
@@ -122,23 +111,6 @@ def g_rounding_unit(source: SourceModel, ell: int) -> Fraction:
     """A grid unit dividing every value of g: 1 / (denominator LCM of the
     source values times (ell - 1)!)."""
     return Fraction(1, source.integer_table[1] * factorial(max(ell - 1, 1)))
-
-
-def zero_sets(g: ZssFunction) -> tuple[int, ...]:
-    """All index sets with ``g == 0``, ascending; by construction this
-    includes the empty set, every singleton and the full index set.
-
-    One exact integer pass (:func:`zero_set_pass`) over the scaled table.
-    """
-    ell = g.ell
-    if ell > ZERO_SET_ENUMERATION_CAP:
-        raise EnumerationLimitError(
-            f"{ell} fundamental blocks exceed the zero-set enumeration cap "
-            f"{ZERO_SET_ENUMERATION_CAP}"
-        )
-    ent, scale = scaled_entropies(g.source)
-    found, _ = zero_set_pass(ent, g.gamma * scale, g.block_masks)
-    return tuple(found)
 
 
 def zero_set_pass(

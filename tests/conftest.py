@@ -1,11 +1,15 @@
-"""Shared fixtures and independent reference oracles.
+"""Shared fixtures, independent reference oracles and test-only generators.
 
 The oracles here deliberately avoid the production code paths they are used
 to check: ``mmi_reference`` evaluates partition rates directly with exact
-fractions (no integer rescaling, no kernel), and ``ip_by_edge_crossings``
-recomputes partition rates from edge-crossing counts instead of entropies,
-and ``measured_rate_by_rescan`` replays a perturbation with a full ``mmi``
-instead of the subset core.
+fractions over its own partition walk (``enumerate_partitions``; no integer
+rescaling, no kernel), ``ip_by_edge_crossings`` recomputes partition rates
+from edge-crossing counts instead of entropies, and
+``measured_rate_by_rescan`` replays a perturbation with a full ``mmi``
+instead of the subset core. ``zero_sets`` and ``ResidualFunction`` are the
+table-side and formula-side views of g that the structure tests compare with
+``MmiResult.optimal_blocks``. No ``ska`` command reaches any of these, so
+they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -13,19 +17,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 
+import ska
 from ska import (
+    EntropyTable,
     HypergraphicalSource,
-    Partition,
+    SkaError,
     UserSet,
     WeightedEdge,
-    enumerate_partitions,
     i_p,
     mmi,
     pin_source,
 )
+from ska.random_instances import random_hypergraphical
+from ska.structure import ZssFunction, zero_set_pass
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
@@ -53,6 +61,140 @@ TABLE_WITH_A_SUBSET_TWICE = {
 
 def users(n: int) -> UserSet:
     return UserSet(tuple(str(i + 1) for i in range(n)))
+
+
+class Partition(ska.Partition):
+    """``ska.Partition`` with two test-only helpers, ``of`` and ``meet``.
+    Every constructor here returns a plain ``ska.Partition``, so the values
+    compare equal to the ones ``mmi`` returns."""
+
+    def __new__(cls, users: UserSet, blocks) -> ska.Partition:
+        return ska.Partition(users, blocks)
+
+    @staticmethod
+    def of(users: UserSet, blocks: Iterable) -> ska.Partition:
+        """Build from blocks given as masks or label iterables."""
+        return ska.Partition(users, tuple(users.as_mask(b) for b in blocks))
+
+    @staticmethod
+    def meet(p: ska.Partition, q: ska.Partition) -> ska.Partition:
+        """Coarsest common refinement: all nonempty pairwise intersections."""
+        if p.users != q.users:
+            raise ska.GroundSetMismatchError("partitions are over different ground sets")
+        inter = [b & c for b in p.blocks for c in q.blocks]
+        return ska.Partition(p.users, tuple(m for m in inter if m))
+
+
+def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+    """All restricted growth strings of length ``n``, lexicographically.
+
+    String ``a`` encodes the partition in which elements ``i`` and ``j``
+    share a block iff ``a[i] == a[j]``; block numbers appear in order of
+    first use, so decoding yields blocks sorted by minimum element.
+    """
+    if n < 1:
+        raise SkaError("ground set must be nonempty")
+    a = [0] * n
+    b = [1] * n  # b[i] = 1 + max(a[:i]); the ceiling for a[i]
+    while True:
+        yield tuple(a)
+        j = n - 1
+        while j > 0 and a[j] == b[j]:
+            j -= 1
+        if j == 0:
+            return
+        a[j] += 1
+        m = b[j] if b[j] > a[j] + 1 else a[j] + 1
+        for k in range(j + 1, n):
+            a[k] = 0
+            b[k] = m
+
+
+def partition_from_rgs(users: UserSet, rgs: Sequence[int]) -> ska.Partition:
+    """Decode a restricted growth string into a canonical partition."""
+    blocks = [0] * (max(rgs) + 1)
+    for i, c in enumerate(rgs):
+        blocks[c] |= 1 << i
+    return ska.Partition(users, tuple(blocks))
+
+
+def enumerate_partitions(users: UserSet, min_blocks: int = 1) -> Iterator[ska.Partition]:
+    """Yield every partition of the ground set with at least ``min_blocks``
+    blocks, exactly once, in restricted-growth-string order (the order of
+    the scan in ``ska.kernel``)."""
+    n = users.n
+    if not 1 <= min_blocks <= n:
+        raise SkaError(f"min_blocks must lie in 1..{n}, got {min_blocks}")
+    for rgs in restricted_growth_strings(n):
+        if max(rgs) + 1 >= min_blocks:
+            yield partition_from_rgs(users, rgs)
+
+
+class ResidualFunction(ZssFunction):
+    """``ska``'s g, plus its defining formula at the empty set."""
+
+    def formula_value(self, index_set: int) -> Fraction:
+        """The defining expression without the empty-set convention: at the
+        empty set it equals ``-gamma``, which is the value under which the
+        function is submodular across all pairs. :meth:`value` pins the
+        empty set to 0 instead, purely for zero-set bookkeeping; no
+        minimization ever evaluates the empty set."""
+        if index_set == 0:
+            return -self.gamma
+        return self.value(index_set)
+
+
+def build_g(source, result) -> ResidualFunction:
+    """``ska.build_g`` as a :class:`ResidualFunction`."""
+    g = ska.build_g(source, result)
+    return ResidualFunction(g.source, g.gamma, g.block_masks)
+
+
+def zero_sets(g: ZssFunction) -> tuple[int, ...]:
+    """All index sets with ``g == 0``, ascending; by construction this
+    includes the empty set, every singleton and the full index set. One
+    exact integer pass (``zero_set_pass``) over the scaled table."""
+    ent, scale = g.source.integer_table
+    found, _ = zero_set_pass(ent, g.gamma * scale, g.block_masks)
+    return tuple(found)
+
+
+def random_tree_pin(rng: random.Random, n: int) -> HypergraphicalSource:
+    """Random unit-weight tree on users "1".."n" (uniform attachment)."""
+    edges = [(rng.randint(1, i), i + 1, 1) for i in range(1, n)]
+    return pin_source(edges, users=users(n))
+
+
+def random_non_coverage_table(rng: random.Random, n: int) -> EntropyTable:
+    """Random valid entropy table on users "1".."n" (n >= 3) that no
+    hypergraph produces: ``coverage(S) + c * min(|S & W|, r)``.
+
+    The coverage part is a random tree or hypergraph; ``W`` has at least 3
+    users, ``1 < r < |W|`` and c > 0. Adding a uniform-matroid rank keeps
+    the table normalized, monotone and submodular. That rank term puts the
+    Moebius weight ``-c * (|W| - r)`` on every set of ``|W| - r + 2`` users
+    inside W; coverage edges on exactly those sets are dropped, so the
+    weight stays negative and the table is not a coverage function.
+    """
+    if n < 3:
+        raise ValueError("a non-coverage table needs at least 3 users")
+    cover = random_tree_pin(rng, n) if rng.random() < 0.5 else random_hypergraphical(rng, n)
+    w = rng.choice([m for m in range(1 << n) if m.bit_count() >= 3])
+    c = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+    size = w.bit_count()
+    r = rng.randint(2, size - 1)
+    negative_size = size - r + 2
+    edges = [
+        (emask, e.weight)
+        for emask, e in zip(cover.edge_masks, cover.edges)
+        if emask & ~w or emask.bit_count() != negative_size
+    ]
+    values = [
+        sum((weight for emask, weight in edges if emask & m), Fraction(0))
+        + c * min((m & w).bit_count(), r)
+        for m in range(1 << n)
+    ]
+    return EntropyTable(cover.users, tuple(values))
 
 
 def hyper(n: int, *edges) -> HypergraphicalSource:
@@ -157,8 +299,6 @@ def random_batch(seed: int, count: int, sizes=(4, 5, 6), max_edges: int = 8, max
     """The standard random-hypergraph battery: ``count`` sources with
     n drawn from ``sizes``, 1..max_edges edges, weights p/q with
     p in 0..6 and q in 1..max_den."""
-    from ska.random_instances import random_hypergraphical
-
     rng = random.Random(seed)
     batch = []
     for _ in range(count):

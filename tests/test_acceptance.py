@@ -11,8 +11,6 @@ from fractions import Fraction
 import pytest
 
 from ska import (
-    Partition,
-    build_g,
     critical_edges,
     critical_edges_bruteforce,
     growth_curve,
@@ -22,13 +20,11 @@ from ska import (
     perturbation_verify,
     pin_source,
     t_max,
-    zero_sets,
 )
 from ska.rationals import denominator_lcm
-from ska.random_instances import random_tree_pin
 from ska.submodular import LatticeFamily, SetFunctionOracle, minimize_bruteforce, minimize_mnp
 
-from .conftest import hyper, random_batch, users
+from .conftest import Partition, build_g, hyper, random_batch, random_tree_pin, users
 
 
 def popcount(mask):
@@ -220,7 +216,7 @@ def test_a08_pin_special_cases():
                         stack.append(other)
             return len(seen) == len(members)
 
-        from ska import enumerate_partitions
+        from .conftest import enumerate_partitions
 
         optimal = set(result.optimal_partitions)
         for p in enumerate_partitions(tree.users, 2):

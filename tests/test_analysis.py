@@ -26,18 +26,15 @@ from ska import source_model
 from ska.analysis import _measured_rate, _optimal_set_contained, _perturbed_table
 from ska.mmi import mmi_core, scaled_entropies
 from ska.rationals import denominator_lcm
-from ska.random_instances import (
-    random_hypergraphical,
-    random_non_coverage_table,
-    random_pin,
-    random_tree_pin,
-)
+from ska.random_instances import random_hypergraphical, random_pin
 
 from .conftest import (
     hyper,
     map_partition,
     measured_rate_by_rescan,
     random_batch,
+    random_non_coverage_table,
+    random_tree_pin,
     relabel_hypergraph,
 )
 
@@ -360,7 +357,7 @@ def test_a_bare_string_is_not_read_as_its_characters():
     result = mmi(source)
     for call in (
         lambda: u.as_mask("12"),
-        lambda: source.entropy("12"),
+        lambda: source.entropy_mask(source.users.as_mask("12")),
         lambda: growth_rate(source, result, "12"),
         lambda: loss_rate(source, result, "12"),
         lambda: perturbation_verify(source, result, "12"),

@@ -8,13 +8,17 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from ska import EntropyTable, HypergraphicalSource, analysis
+from ska import EntropyTable, HypergraphicalSource, Partition, analysis
 from ska.analysis import perturbation_verify, zero_set_pass
 from ska.cli import main
 from ska.mmi import MmiResult
-from ska.random_instances import random_non_coverage_table
-
-from .conftest import CORPUS, NON_LIST_DOCUMENTS, REPO_ROOT, TABLE_WITH_A_SUBSET_TWICE
+from .conftest import (
+    CORPUS,
+    NON_LIST_DOCUMENTS,
+    REPO_ROOT,
+    TABLE_WITH_A_SUBSET_TWICE,
+    random_non_coverage_table,
+)
 
 CORPUS_FILES = [
     "base3",
@@ -177,6 +181,24 @@ def test_invalid_source_exits_2(runner, tmp_path):
     assert validate.exit_code == 2
 
 
+UNREADABLE_DOCUMENTS = {
+    "latin-1": '{"users": ["\u00e9", "2"]}'.encode("latin-1"),
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["mmi", "validate"])
+@pytest.mark.parametrize("name", UNREADABLE_DOCUMENTS)
+def test_an_unreadable_document_exits_2_naming_its_path(runner, tmp_path, command, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE_DOCUMENTS[name])
+    result = runner.invoke(main, [command, str(path)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and str(path) in line
+
+
 def test_an_invalid_table_is_validated_once(runner, tmp_path, monkeypatch):
     """``mmi`` is the only validator: the CLI does not check the source
     again before calling it."""
@@ -227,6 +249,32 @@ def test_an_over_cap_invalid_document_fails_at_the_cap(runner, tmp_path, monkeyp
     result = runner.invoke(main, ["mmi", str(path)])
     assert result.exit_code == 2
     assert "cap of 12" in result.output
+
+
+def test_each_format_builds_only_its_own_output(runner, monkeypatch):
+    """Text mode never builds the JSON payload, and JSON mode never formats
+    the text lines."""
+    path = str(CORPUS / "overlap3.json")
+    expected = {
+        (command, fmt): runner.invoke(main, [command, "--format", fmt, path]).stdout
+        for command in ("mmi", "partitions")
+        for fmt in ("text", "json")
+    }
+
+    def refuse(*args):
+        raise AssertionError("built for the other format")
+
+    monkeypatch.setattr(MmiResult, "to_json_dict", refuse)
+    for command in ("mmi", "partitions"):
+        result = runner.invoke(main, [command, path], catch_exceptions=False)
+        assert result.exit_code == 0
+        assert result.stdout == expected[command, "text"]
+    monkeypatch.undo()
+    monkeypatch.setattr(Partition, "__str__", refuse)
+    for command in ("mmi", "partitions"):
+        result = runner.invoke(main, [command, "--format", "json", path], catch_exceptions=False)
+        assert result.exit_code == 0
+        assert result.stdout == expected[command, "json"]
 
 
 def test_unknown_flag_exits_2(runner):

@@ -4,10 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ska import GroundSetMismatchError, Partition, SkaError, enumerate_partitions
-from ska.partitions import partition_from_rgs, restricted_growth_strings
+from ska import GroundSetMismatchError, SkaError
 
-from .conftest import users
+from .conftest import (
+    Partition,
+    enumerate_partitions,
+    partition_from_rgs,
+    restricted_growth_strings,
+    users,
+)
 
 
 @st.composite
@@ -153,26 +158,26 @@ def test_meet_examples():
     singles = P(u, "1", "2", "3", "4")
     p = P(u, ("1", "2"), ("3", "4"))
     q = P(u, ("1", "2", "3"), ("4",))
-    assert p.meet(singles) == singles
-    assert p.meet(q) == P(u, ("1", "2"), ("3",), ("4",))
-    assert p.meet(p) == p
+    assert Partition.meet(p, singles) == singles
+    assert Partition.meet(p, q) == P(u, ("1", "2"), ("3",), ("4",))
+    assert Partition.meet(p, p) == p
 
 
 @settings(max_examples=80, deadline=None)
 @given(random_partition(), random_partition())
 def test_meet_laws_on_random_partitions(p, q):
-    m = p.meet(q)
-    assert m == q.meet(p)
+    m = Partition.meet(p, q)
+    assert m == Partition.meet(q, p)
     assert m.refines(p) and m.refines(q)
     assert p.refines(q) == (m == p)
-    assert m.meet(p) == m
+    assert Partition.meet(m, p) == m
 
 
 def test_meet_is_the_coarsest_common_refinement_up_to_four_users():
     u = users(4)
     all_parts = list(enumerate_partitions(u, 1))
     for p, q in itertools.product(all_parts, repeat=2):
-        m = p.meet(q)
+        m = Partition.meet(p, q)
         assert m.refines(p) and m.refines(q)
         for r in all_parts:
             if r.refines(p) and r.refines(q):

@@ -19,31 +19,37 @@ from ska import (
     source_from_json_dict,
 )
 from ska import source_model
-from ska.random_instances import random_hypergraphical, random_non_coverage_table
+from ska.random_instances import random_hypergraphical
 from ska.source_model import ValidationReport, Violation
 
-from .conftest import NON_LIST_DOCUMENTS, TABLE_WITH_A_SUBSET_TWICE, hyper, users
+from .conftest import (
+    NON_LIST_DOCUMENTS,
+    TABLE_WITH_A_SUBSET_TWICE,
+    hyper,
+    random_non_coverage_table,
+    users,
+)
 
 
 # ---------------------------------------------------------------- entropy
 
 def test_entropy_of_single_user_counts_incident_edges(base3):
-    assert base3.entropy(("3",)) == 1  # user 3 sees only the global bit
-    assert base3.entropy(("1",)) == 2
+    assert base3.entropy_mask(base3.users.as_mask(("3",))) == 1  # user 3 sees only the global bit
+    assert base3.entropy_mask(base3.users.as_mask(("1",))) == 2
 
 
 def test_entropy_of_empty_set_is_zero(base3, tree4):
-    assert base3.entropy(()) == 0
-    assert tree4.entropy(0) == 0
+    assert base3.entropy_mask(base3.users.as_mask(())) == 0
+    assert tree4.entropy_mask(tree4.users.as_mask(0)) == 0
 
 
 def test_entropy_tree_inner_pair(tree4):
-    assert tree4.entropy(("2", "3")) == 3  # edges 12, 23, 34 all touch {2,3}
+    assert tree4.entropy_mask(tree4.users.as_mask(("2", "3"))) == 3  # edges 12, 23, 34 all touch {2,3}
 
 
 def test_entropy_rejects_unknown_labels(base3):
     with pytest.raises(UnknownUserError):
-        base3.entropy(("1", "9"))
+        base3.entropy_mask(base3.users.as_mask(("1", "9")))
 
 
 def test_user_set_requires_two_distinct_users():
@@ -248,8 +254,8 @@ def test_increment_rejects_nonpositive_epsilon(base3):
 
 def test_increment_tree_fractional(tree4):
     boosted = tree4.increment(("1", "4"), Fraction(1, 2))
-    assert boosted.entropy(("1",)) == Fraction(3, 2)
-    assert boosted.entropy(("2", "3")) == 3  # disjoint from {1,4}: unchanged
+    assert boosted.entropy_mask(boosted.users.as_mask(("1",))) == Fraction(3, 2)
+    assert boosted.entropy_mask(boosted.users.as_mask(("2", "3"))) == 3  # disjoint from {1,4}: unchanged
 
 
 def test_table_increment_matches_hypergraph_increment(base3):
@@ -301,7 +307,7 @@ def test_decrement_spans_parallel_edges():
     source = hyper(3, (("1", "2"), Fraction(1, 2)), (("1", "2"), Fraction(1, 2)))
     reduced = source.decrement(("1", "2"), Fraction(3, 4))
     assert reduced.has_edge(("1", "2")) == Fraction(1, 4)
-    assert reduced.entropy(("1",)) == Fraction(1, 4)
+    assert reduced.entropy_mask(reduced.users.as_mask(("1",))) == Fraction(1, 4)
 
 
 # ---------------------------------------------------------------- pin_source
@@ -309,7 +315,7 @@ def test_decrement_spans_parallel_edges():
 def test_pin_path_is_tree_source(tree4):
     built = pin_source([(1, 2, 1), (2, 3, 1), (3, 4, 1)])
     assert built == tree4
-    assert built.entropy(("2",)) == 2
+    assert built.entropy_mask(built.users.as_mask(("2",))) == 2
 
 
 def test_pin_empty_graph_needs_explicit_users():
@@ -327,7 +333,7 @@ def test_pin_rejects_self_loop():
 def test_pin_cycle_entropy_is_degree():
     cycle = pin_source([(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)])
     for label in "1234":
-        assert cycle.entropy((label,)) == 2
+        assert cycle.entropy_mask(cycle.users.as_mask((label,))) == 2
 
 
 # ---------------------------------------------------------------- properties

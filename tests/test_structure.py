@@ -7,21 +7,17 @@ import pytest
 import ska.structure as structure
 from ska import (
     EntropyTable,
-    Partition,
     SkaError,
-    build_g,
     g_rounding_unit,
     is_unique_optimal,
     maximal_zero_set,
     mmi,
     t_max,
-    zero_sets,
 )
-from ska.errors import EnumerationLimitError
-from ska.random_instances import random_hypergraphical, random_non_coverage_table
+from ska.random_instances import random_hypergraphical
 from ska.submodular import MnpResult
 
-from .conftest import users
+from .conftest import Partition, build_g, random_non_coverage_table, users, zero_sets
 
 
 def bits(mask):
@@ -88,14 +84,6 @@ def test_zero_set_pass_matches_the_definition():
         assert source.validate().ok
         g = build_g(source, mmi(source))
         assert zero_sets(g) == tuple(b for b in range(1 << g.ell) if g.value(b) == 0)
-
-
-def test_zero_sets_cap():
-    class Wide:
-        ell = 25
-
-    with pytest.raises(EnumerationLimitError):
-        zero_sets(Wide())  # type: ignore[arg-type]
 
 
 def test_g_nonnegative_zero_singleton_submodular_on_random_sources():
