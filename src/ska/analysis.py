@@ -9,6 +9,13 @@ marginal removal leaves the MMI unchanged (equivalently: edges inside one
 fundamental block). All critical edges share one size, which the
 T1/T2 dichotomy turns into an explicit construction.
 
+Every optimal partition coarsens the fundamental partition F (Chan,
+Al-Bashabsheh and Zhou, "Change of multivariate mutual information: from
+local to global", IEEE Trans. IT 2018), so a subset's growth rate depends
+only on the set of F's blocks it meets. :func:`growth_curve` works on those
+2^ell block sets, not on the 2^n subsets one by one; its per-subset twin,
+the loop over :func:`growth_rate`, is an oracle in the tests.
+
 Each closed-form route keeps a brute-force twin
 (:func:`critical_edges_bruteforce`, :func:`perturbation_verify`) so the two
 can be pitted against each other, exactly, in tests. The replays behind
@@ -104,13 +111,24 @@ class GrowthCurve:
 
 
 def growth_curve(source: SourceModel, result: MmiResult, k_max: int | None = None) -> GrowthCurve:
-    """Exact growth rates of every order up to ``k_max`` by subset
-    enumeration (size-k layer per step, early exit at the ceiling 1).
+    """Exact growth rates of every order up to ``k_max``, decided on sets of
+    fundamental blocks.
 
-    When the optimal partition is unique the curve must be the straight line
-    ``(k - 1) / (ell - 1)`` up to the fundamental block count; that shortcut
-    is cross-checked against the enumerated values and any disagreement
-    raises, since it would mean a bug.
+    Every optimal partition coarsens the fundamental partition F, so the
+    blocks of an optimal partition that a subset S meets depend only on J,
+    the set of F's blocks that S meets (a mask over F's ell blocks). S has
+    rate 0 exactly when J lies inside the J of one optimal block; a
+    down-closed table of 2^ell flags answers that in one lookup. Any other
+    J is rated once, against the optimal partitions written as J masks
+    (:func:`_block_set_rate`), and remembered.
+
+    Subsets are still visited size by size in ``itertools.combinations``
+    order, the best is replaced only on a strict increase and a size stops
+    at the ceiling 1, so each witness is the first subset in that order that
+    attains its value. When the optimal partition is unique the curve must
+    be the straight line ``(k - 1) / (ell - 1)`` up to ell; that is
+    cross-checked against the computed values and any disagreement raises,
+    since it would mean a bug.
     """
     users = source.users
     n = users.n
@@ -118,6 +136,33 @@ def growth_curve(source: SourceModel, result: MmiResult, k_max: int | None = Non
         k_max = n
     if not 0 <= k_max <= n:
         raise SkaError(f"k_max must lie in 0..{n}")
+    ell = result.ell
+    block_bit = [0] * n
+    for j, block in enumerate(result.fundamental.blocks):
+        for i in bit_positions(block):
+            block_bit[i] = 1 << j
+    block_set = {}
+    for block in result.optimal_blocks:
+        mask = 0
+        for i in bit_positions(block):
+            mask |= block_bit[i]
+        block_set[block] = mask
+    # inside[J]: J lies within the block set of one optimal block (rate 0).
+    inside = bytearray(1 << ell)
+    for mask in block_set.values():
+        inside[mask] = 1
+    for j in range(ell):
+        bit = 1 << j
+        for mask in range(1 << ell):
+            if mask & bit and inside[mask]:
+                inside[mask ^ bit] = 1
+
+    # The optimal partitions as J masks, built on first need: with a small
+    # k_max the zero table may answer every subset.
+    parts = None
+    # Exact rates, or early-exit bounds at or below the best of their time;
+    # the best only rises, so either kind still tells whether J can win.
+    rated: dict[int, Fraction] = {}
     values = [Fraction(0)]
     witnesses = [0]
     best = Fraction(0)
@@ -125,26 +170,58 @@ def growth_curve(source: SourceModel, result: MmiResult, k_max: int | None = Non
     for k in range(1, k_max + 1):
         if best < 1:
             for combo in itertools.combinations(range(n), k):
-                mask = 0
+                met = 0
                 for i in combo:
-                    mask |= 1 << i
-                rate = growth_rate(source, result, mask)
+                    met |= block_bit[i]
+                if inside[met]:
+                    continue
+                rate = rated.get(met)
+                if rate is None:
+                    if parts is None:
+                        parts = [
+                            (tuple(block_set[b] for b in p.blocks), p.n_blocks - 1)
+                            for p in result.optimal_partitions
+                        ]
+                    rate = rated[met] = _block_set_rate(met, parts, best)
                 if rate > best:
-                    best, best_witness = rate, mask
+                    best, best_witness = rate, sum(1 << i for i in combo)
                     if best == 1:
                         break
         values.append(best)
         witnesses.append(best_witness)
     if len(result.optimal_partitions) == 1:
-        ell = result.ell
         for k in range(1, min(k_max, ell) + 1):
             expected = Fraction(k - 1, ell - 1)
             if values[k] != expected:
                 raise SkaError(
-                    f"unique-optimum shortcut disagrees with enumeration at k={k}: "
+                    f"unique-optimum shortcut disagrees with the computed curve at k={k}: "
                     f"{values[k]} != {expected}; this indicates a bug"
                 )
     return GrowthCurve(users=users, values=tuple(values), witnesses=tuple(witnesses))
+
+
+def _block_set_rate(met: int, parts, floor: Fraction) -> Fraction:
+    """Growth rate of every subset that meets exactly the fundamental blocks
+    in ``met``: the min over ``parts``, the optimal partitions as
+    ``(block J masks, block count - 1)``, of ``(blocks met - 1) / (|P| - 1)``.
+
+    The scan stops at the first partition that rates ``met`` at or below
+    ``floor`` and returns that value. It is then an upper bound at or below
+    ``floor``, so a caller whose floor only rises may keep it: such a set
+    can no longer raise the floor.
+    """
+    low_num, low_den = 1, 1
+    floor_num, floor_den = floor.numerator, floor.denominator
+    for blocks, den in parts:
+        num = -1
+        for block in blocks:
+            if block & met:
+                num += 1
+        if num * low_den < low_num * den:
+            low_num, low_den = num, den
+            if num * floor_den <= floor_num * den:
+                break
+    return Fraction(low_num, low_den)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 A partition is a tuple of disjoint block bitmasks covering the ground set,
 kept in canonical order (ascending minimum element), so equality and hashing
 are syntactic. The one walk over all partitions is the scan in
-:mod:`ska.kernel`.
+:mod:`ska.kernel`. ``Partition(users, blocks)`` checks and sorts its
+blocks; :func:`ska.mmi` builds the scan's minimisers, which are canonical
+already, through the unchecked ``Partition._from_canonical``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,16 @@ class Partition:
         # the blocks in ascending-minimum-element order.
         blocks = tuple(sorted(blocks, key=lambda m: m & -m))
         object.__setattr__(self, "blocks", blocks)
+
+    @classmethod
+    def _from_canonical(cls, users: UserSet, blocks: tuple[int, ...]) -> "Partition":
+        """A partition from blocks that are already disjoint, covering and in
+        canonical order, as the scan in :mod:`ska.kernel` emits them; the
+        checks of ``__post_init__`` are skipped."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "users", users)
+        object.__setattr__(partition, "blocks", blocks)
+        return partition
 
     @property
     def n_blocks(self) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -539,6 +540,13 @@ def load_source(path) -> SourceModel:
             raise SkaError(f"malformed JSON in {path}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise SkaError(f"{path} is not UTF-8 text: {exc}") from None
+        except ValueError:
+            # The parser's one other ValueError: a JSON number longer
+            # than Python converts from a string.
+            raise SkaError(
+                f"{path} holds a number of more than {sys.get_int_max_str_digits()} "
+                "digits, the bound on integer strings"
+            ) from None
         except RecursionError:
             raise SkaError(f"{path} nests JSON values too deeply to parse") from None
     return source_from_json_dict(data)

@@ -6,7 +6,9 @@ fractions over its own partition walk (``enumerate_partitions``; no integer
 rescaling, no kernel), ``ip_by_edge_crossings`` recomputes partition rates
 from edge-crossing counts instead of entropies, and
 ``measured_rate_by_rescan`` replays a perturbation with a full ``mmi``
-instead of the subset core. ``zero_sets`` and ``ResidualFunction`` are the
+instead of the subset core, and ``growth_curve_by_subsets`` rates every
+subset with ``growth_rate`` instead of working on sets of fundamental
+blocks. ``zero_sets`` and ``ResidualFunction`` are the
 table-side and formula-side views of g that the structure tests compare with
 ``MmiResult.optimal_blocks``. No ``ska`` command reaches any of these, so
 they live here rather than in the package.
@@ -14,6 +16,7 @@ they live here rather than in the package.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -266,6 +269,28 @@ def measured_rate_by_rescan(source, result, mask, mode, eps):
         new = mmi(source.decrement(mask, eps))
         measured = (result.gamma - new.gamma) / eps
     return measured, set(new.optimal_partitions) <= set(result.optimal_partitions)
+
+
+def growth_curve_by_subsets(source, result, k_max=None) -> tuple[tuple, tuple]:
+    """Curve oracle: ``(values, witnesses)`` of the growth curve by rating
+    every subset of each size with ``growth_rate``, in
+    ``itertools.combinations`` order; the best is replaced only on a strict
+    increase, and a size stops at the ceiling 1."""
+    n = source.users.n
+    values, witnesses = [Fraction(0)], [0]
+    best, best_witness = Fraction(0), 0
+    for k in range(1, (n if k_max is None else k_max) + 1):
+        if best < 1:
+            for combo in itertools.combinations(range(n), k):
+                mask = sum(1 << i for i in combo)
+                rate = ska.growth_rate(source, result, mask)
+                if rate > best:
+                    best, best_witness = rate, mask
+                    if best == 1:
+                        break
+        values.append(best)
+        witnesses.append(best_witness)
+    return tuple(values), tuple(witnesses)
 
 
 def ip_by_edge_crossings(source: HypergraphicalSource, partition: Partition) -> Fraction:

@@ -20,15 +20,17 @@ from ska import (
     loss_rate,
     mmi,
     perturbation_verify,
+    pin_source,
     t_max,
 )
-from ska import source_model
+from ska import analysis, source_model
 from ska.analysis import _measured_rate, _optimal_set_contained, _perturbed_table
 from ska.mmi import mmi_core, scaled_entropies
 from ska.rationals import denominator_lcm
 from ska.random_instances import random_hypergraphical, random_pin
 
 from .conftest import (
+    growth_curve_by_subsets,
     hyper,
     map_partition,
     measured_rate_by_rescan,
@@ -100,6 +102,73 @@ def test_growth_curve_k_max_validation(tree4):
     assert len(growth_curve(tree4, result, 2).values) == 3
     with pytest.raises(SkaError):
         growth_curve(tree4, result, 9)
+
+
+def _curve_sources():
+    """153 sources: path, star, cycle, complete graph and one edge over all
+    users at n = 3..7, and 32 each of seeded random trees, PINs, hypergraphs
+    and non-coverage tables at n = 3..7."""
+    sources = []
+    for n in range(3, 8):
+        sources += [
+            pin_source([(i, i + 1, 1) for i in range(1, n)]),
+            pin_source([(1, i, 1) for i in range(2, n + 1)]),
+            pin_source([(i, i % n + 1, 1) for i in range(1, n + 1)]),
+            pin_source([(i, j, 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]),
+            hyper(n, (tuple(str(i + 1) for i in range(n)), 1)),
+        ]
+    rng = random.Random(34)
+    for draw in (random_tree_pin, random_pin, random_hypergraphical, random_non_coverage_table):
+        sources += [draw(rng, 3 + index % 5) for index in range(32)]
+    return sources
+
+
+def test_growth_curve_matches_the_subset_oracle_at_every_k_max(monkeypatch):
+    block_set_rate = analysis._block_set_rate
+    rated = []
+
+    def positive(met, parts, floor):
+        # The zero table answers every block set of rate 0 on its own.
+        rate = block_set_rate(met, parts, floor)
+        assert rate > 0
+        rated.append(met)
+        return rate
+
+    monkeypatch.setattr(analysis, "_block_set_rate", positive)
+    sources = _curve_sources()
+    assert len(sources) >= 150
+    for source in sources:
+        result = mmi(source)
+        for k_max in range(source.users.n + 1):
+            rated.clear()
+            curve = growth_curve(source, result, k_max)
+            assert len(rated) == len(set(rated))
+            values, witnesses = growth_curve_by_subsets(source, result, k_max)
+            assert curve.values == values
+            assert curve.witnesses == witnesses
+
+
+def test_growth_curve_rates_each_block_set_once_without_growth_rate(monkeypatch):
+    source = hyper(8, (tuple(str(i + 1) for i in range(8)), 1))
+    result = mmi(source)
+    rated = []
+    block_set_rate = analysis._block_set_rate
+
+    def counting(met, parts, floor):
+        rated.append(met)
+        return block_set_rate(met, parts, floor)
+
+    def refuse(*args):
+        raise AssertionError("growth_curve called growth_rate")
+
+    monkeypatch.setattr(analysis, "_block_set_rate", counting)
+    monkeypatch.setattr(analysis, "growth_rate", refuse)
+    curve = growth_curve(source, result)
+    # One block set rated, within the bound of 2^ell: every block set but
+    # the full one lies inside an optimal block.
+    assert rated == [(1 << result.ell) - 1]
+    assert curve.values == (0,) * 8 + (1,)
+    assert curve.witnesses == (0,) * 8 + (255,)
 
 
 # ---------------------------------------------------------------- critical edges

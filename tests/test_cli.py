@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import random
@@ -185,6 +186,44 @@ UNREADABLE_DOCUMENTS = {
     "latin-1": '{"users": ["\u00e9", "2"]}'.encode("latin-1"),
     "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
 }
+
+
+LONG = "9" * 5000
+LONG_RATIONALS = {
+    "weight-string": (
+        [],
+        '{"users": ["1", "2"], "model": "hypergraph",'
+        f' "edges": [{{"members": ["1", "2"], "weight": "{LONG}"}}]}}',
+    ),
+    "table-value-string": (
+        [],
+        '{"users": ["1", "2"], "model": "table",'
+        f' "entropy": {{"1": "1", "2": "1", "1,2": "{LONG}"}}}}',
+    ),
+    "weight-number": (
+        [],
+        '{"users": ["1", "2"], "model": "hypergraph",'
+        f' "edges": [{{"members": ["1", "2"], "weight": {LONG}}}]}}',
+    ),
+    "epsilon": (
+        ["--epsilon", LONG],
+        '{"users": ["1", "2"], "model": "hypergraph",'
+        ' "edges": [{"members": ["1", "2"], "weight": "1"}]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LONG_RATIONALS)
+def test_a_rational_past_the_digit_bound_exits_2_naming_the_bound(runner, tmp_path, name):
+    options, document = LONG_RATIONALS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(document)
+    result = runner.invoke(main, ["verify", *options, str(path)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and "more than 4300 digits" in line
+    assert len(line) < 300
 
 
 @pytest.mark.parametrize("command", ["mmi", "validate"])
@@ -563,3 +602,54 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------- parity
+
+def _one_edge_document(n):
+    labels = [str(i + 1) for i in range(n)]
+    return {"users": labels, "model": "hypergraph", "edges": [{"members": labels, "weight": "1"}]}
+
+
+def _tree_document(seed, n):
+    """Unit tree on users 1..n by uniform attachment."""
+    rng = random.Random(seed)
+    return {
+        "users": [str(i + 1) for i in range(n)],
+        "model": "hypergraph",
+        "edges": [
+            {"members": [str(rng.randint(1, i)), str(i + 1)], "weight": "1"} for i in range(1, n)
+        ],
+    }
+
+
+# sha256 of stdout as the per-subset growth curve, the checked Partition
+# constructor and one label list per block occurrence wrote it; the curve on
+# sets of fundamental blocks, the unchecked construction in mmi() and the
+# shared label lists must reproduce it byte for byte.
+PARITY_DOCUMENTS = {
+    "he9": _one_edge_document(9),
+    "he8": _one_edge_document(8),
+    "tree9": _tree_document(75, 9),
+}
+PARITY_RUNS = {
+    ("he9", "growth", "text"): "ce0011ec0a4809625689de64491364cd8ea347915fbf2ea1af4e19472739ed9b",
+    ("he9", "growth", "json"): "9cfc312d3db68c4b149e478394431cb01c027f3cba83444c892f0cc7d26f185a",
+    ("he8", "partitions", "text"): "4cea63d91b385dc100ddf29a129d9ecd28c4522ae87c237eab6108a0a80faa36",
+    ("he8", "partitions", "json"): "75268e386eb21da199309f55d24fec7918f30d319aa2fc64ca2172bfebb37429",
+    ("he8", "mmi", "text"): "c6341a05223c9870676c64fd788b81c7e7e3b3a6b085cf5c75da90f096080154",
+    ("he8", "mmi", "json"): "75268e386eb21da199309f55d24fec7918f30d319aa2fc64ca2172bfebb37429",
+    ("tree9", "growth --k 3", "text"): "d85567ba21cf7c873aa1d4a61a106c06f435db95d35d12113f0d3078ad2e53e2",
+    ("tree9", "growth --k 3", "json"): "dc419efee41c30d74a04551cdc9705e159ff3515d956ceaad1d01609388f22c3",
+}
+
+
+@pytest.mark.parametrize("document, command, fmt", PARITY_RUNS)
+def test_all_optimal_stdout_is_pinned(runner, tmp_path, document, command, fmt):
+    path = tmp_path / f"{document}.json"
+    path.write_text(json.dumps(PARITY_DOCUMENTS[document]))
+    argv = [*command.split(), "--format", fmt, str(path)]
+    result = runner.invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == PARITY_RUNS[document, command, fmt]

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ska
 import ska.kernel as kernel
 from ska import (
     EntropyTable,
@@ -17,6 +19,7 @@ from ska import (
     pin_source,
 )
 from ska.mmi import mmi_core, scaled_entropies
+from ska.rationals import format_rational
 from ska.random_instances import random_hypergraphical, random_pin
 
 from .conftest import (
@@ -217,6 +220,42 @@ def test_mmi_matches_oracle_on_generated_sources(source):
         finest,
         gap,
     )
+
+
+# ---------------------------------------------------------------- materialisation
+
+def _materialisation_sources():
+    """One edge over 7 and over 8 users (877 and 4,139 optimal partitions)
+    and 20 seeded random sources at n = 3..7, four families in turn."""
+    sources = [hyper(n, (tuple(users(n).labels), 1)) for n in (7, 8)]
+    rng = random.Random(35)
+    draws = (random_hypergraphical, random_pin, random_tree_pin, random_non_coverage_table)
+    for index in range(20):
+        sources.append(draws[index % 4](rng, rng.randint(3, 7)))
+    return sources
+
+
+def test_mmi_partitions_equal_the_checked_constructor_in_strict_block_order():
+    for source in _materialisation_sources():
+        optimal = mmi(source).optimal_partitions
+        for p in optimal:
+            checked = ska.Partition(p.users, p.blocks)
+            assert type(p) is ska.Partition
+            assert p == checked and hash(p) == hash(checked)
+            assert p.users is source.users and p.blocks == checked.blocks
+        assert all(a.blocks < b.blocks for a, b in zip(optimal, optimal[1:]))
+
+
+def test_json_payload_renders_every_partition_as_its_to_json():
+    for source in _materialisation_sources():
+        result = mmi(source)
+        expected = {
+            "gamma": format_rational(result.gamma),
+            "optimal_partitions": [p.to_json() for p in result.optimal_partitions],
+            "fundamental": result.fundamental.to_json(),
+            "gap": "inf" if result.gap is None else format_rational(result.gap),
+        }
+        assert json.dumps(result.to_json_dict(), indent=2) == json.dumps(expected, indent=2)
 
 
 # ---------------------------------------------------------------- fundamental

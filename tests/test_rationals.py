@@ -30,3 +30,24 @@ def test_format_omits_unit_denominator():
 def test_denominator_lcm():
     assert denominator_lcm([]) == 1
     assert denominator_lcm([Fraction(1, 2), Fraction(1, 3), Fraction(5)]) == 6
+
+
+def test_a_rational_past_the_digit_bound_names_it_and_echoes_a_prefix():
+    for value in ("9" * 5000, "1/" + "7" * 4301):
+        with pytest.raises(ValueError) as info:
+            parse_rational(value)
+        message = str(info.value)
+        assert "more than 4300 digits" in message
+        assert f"({len(value)} characters)" in message
+        assert len(message) < 200
+    # Past the bound in total, not in either part: still a rational.
+    numerator, denominator = "3" * 3000, "7" * 3000
+    assert parse_rational(f"{numerator}/{denominator}") == Fraction(int(numerator), int(denominator))
+
+
+def test_a_long_non_rational_is_echoed_as_a_prefix():
+    with pytest.raises(ValueError) as info:
+        parse_rational("x" * 5000)
+    message = str(info.value)
+    assert message.startswith("not a rational: 'xxx") and "(5000 characters)" in message
+    assert "digits" not in message and len(message) < 100
