@@ -1,20 +1,20 @@
 """Growth and loss rates of the MMI under common-randomness perturbations.
 
-Everything here is driven by the optimal-partition set. The growth rate of
-a subset S is the worst normalized block-crossing count over optimal
-partitions; the loss rate of an edge is the best one; critical edges are
-the minimal subsets with positive growth rate (equivalently: minimal
-subsets crossing every optimal partition); excess edges are the ones whose
-marginal removal leaves the MMI unchanged (equivalently: edges inside one
-fundamental block). All critical edges share one size, which the
+The growth rate of a subset S is the worst normalized block-crossing count
+over optimal partitions; the loss rate of an edge is the best one; critical
+edges are the minimal subsets with positive growth rate (equivalently:
+minimal subsets crossing every optimal partition); excess edges are the ones
+whose marginal removal leaves the MMI unchanged (equivalently: edges inside
+one fundamental block). All critical edges share one size, which the
 T1/T2 dichotomy turns into an explicit construction.
 
 Every optimal partition coarsens the fundamental partition F (Chan,
 Al-Bashabsheh and Zhou, "Change of multivariate mutual information: from
-local to global", IEEE Trans. IT 2018), so a subset's growth rate depends
-only on the set of F's blocks it meets. :func:`growth_curve` works on those
-2^ell block sets, not on the 2^n subsets one by one; its per-subset twin,
-the loop over :func:`growth_rate`, is an oracle in the tests.
+local to global", IEEE Trans. IT 2018), so both rates of a subset depend
+only on the set of F's blocks it meets. Every rate here, the growth curve
+and the greedy critical edge read one value, ``MmiResult.block_space``: the
+optimal family over those 2^ell block sets, with a zero table. The
+per-partition rates and the per-subset curve are oracles in the tests.
 
 Each closed-form route keeps a brute-force twin
 (:func:`critical_edges_bruteforce`, :func:`perturbation_verify`) so the two
@@ -32,38 +32,35 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MissingEdgeError, SkaError
+from .errors import ConsistencyError, MissingEdgeError, SkaError
 # ``mmi`` is not called here; it stays bound because ``perfbench`` wraps
 # ``analysis.mmi`` to count calls made from this module.
-from .mmi import MmiResult, mmi, mmi_core, scaled_entropies  # noqa: F401
+from .mmi import MmiResult, block_set, mmi, mmi_core, scaled_entropies  # noqa: F401
+from .partitions import bit_positions
 from .rationals import format_rational
 from .source_model import HypergraphicalSource, SourceModel, UserSet
 from .structure import TMaxReport, t_max, zero_set_pass
-from .submodular import bit_positions
 
 
 def growth_rate(source: SourceModel, result: MmiResult, subset) -> Fraction:
     """One-sided derivative of the MMI when common randomness is added to
     the subset: min over optimal partitions P of
-    ``(blocks crossed - 1) / (|P| - 1)``; 0 for the empty subset."""
-    mask = source.users.as_mask(subset)
-    if mask == 0:
-        return Fraction(0)
-    return min(
-        Fraction(p.blocks_crossed(mask) - 1, p.n_blocks - 1)
-        for p in result.optimal_partitions
-    )
+    ``(blocks crossed - 1) / (|P| - 1)``; 0 for the empty subset.
+
+    On ``result.block_space``: 0 when the zero table marks the subset's J;
+    otherwise every partition rates J above 0, so the early stop never fires."""
+    bit, inside, parts = result.block_space
+    met = block_set(bit, source.users.as_mask(subset))
+    return Fraction(0) if inside[met] else _block_set_rate(met, parts, Fraction(0))
 
 
 def loss_rate(source: SourceModel, result: MmiResult, edge) -> Fraction:
     """One-sided derivative of the MMI when common randomness is removed
     from an edge the source carries: max over optimal partitions of
-    ``(blocks crossed - 1) / (|P| - 1)``."""
-    mask = _require_edge(source, edge)
-    return max(
-        Fraction(p.blocks_crossed(mask) - 1, p.n_blocks - 1)
-        for p in result.optimal_partitions
-    )
+    ``(blocks crossed - 1) / (|P| - 1)``, on ``result.block_space``."""
+    bit, _, parts = result.block_space
+    met = block_set(bit, _require_edge(source, edge))
+    return max(Fraction(sum(1 for b in blocks if b & met) - 1, den) for blocks, den in parts)
 
 
 def is_excess(source: SourceModel, result: MmiResult, edge) -> bool:
@@ -114,13 +111,10 @@ def growth_curve(source: SourceModel, result: MmiResult, k_max: int | None = Non
     """Exact growth rates of every order up to ``k_max``, decided on sets of
     fundamental blocks.
 
-    Every optimal partition coarsens the fundamental partition F, so the
-    blocks of an optimal partition that a subset S meets depend only on J,
-    the set of F's blocks that S meets (a mask over F's ell blocks). S has
-    rate 0 exactly when J lies inside the J of one optimal block; a
-    down-closed table of 2^ell flags answers that in one lookup. Any other
-    J is rated once, against the optimal partitions written as J masks
-    (:func:`_block_set_rate`), and remembered.
+    A subset's rate depends only on J, the set of fundamental blocks it
+    meets. It is 0 exactly when the zero table of ``result.block_space``
+    marks J. Any other J is rated once, against the optimal partitions
+    written as J masks (:func:`_block_set_rate`), and remembered.
 
     Subsets are still visited size by size in ``itertools.combinations``
     order, the best is replaced only on a strict increase and a size stops
@@ -136,30 +130,7 @@ def growth_curve(source: SourceModel, result: MmiResult, k_max: int | None = Non
         k_max = n
     if not 0 <= k_max <= n:
         raise SkaError(f"k_max must lie in 0..{n}")
-    ell = result.ell
-    block_bit = [0] * n
-    for j, block in enumerate(result.fundamental.blocks):
-        for i in bit_positions(block):
-            block_bit[i] = 1 << j
-    block_set = {}
-    for block in result.optimal_blocks:
-        mask = 0
-        for i in bit_positions(block):
-            mask |= block_bit[i]
-        block_set[block] = mask
-    # inside[J]: J lies within the block set of one optimal block (rate 0).
-    inside = bytearray(1 << ell)
-    for mask in block_set.values():
-        inside[mask] = 1
-    for j in range(ell):
-        bit = 1 << j
-        for mask in range(1 << ell):
-            if mask & bit and inside[mask]:
-                inside[mask ^ bit] = 1
-
-    # The optimal partitions as J masks, built on first need: with a small
-    # k_max the zero table may answer every subset.
-    parts = None
+    bit, inside, parts = result.block_space
     # Exact rates, or early-exit bounds at or below the best of their time;
     # the best only rises, so either kind still tells whether J can win.
     rated: dict[int, Fraction] = {}
@@ -172,16 +143,11 @@ def growth_curve(source: SourceModel, result: MmiResult, k_max: int | None = Non
             for combo in itertools.combinations(range(n), k):
                 met = 0
                 for i in combo:
-                    met |= block_bit[i]
+                    met |= bit[i]
                 if inside[met]:
                     continue
                 rate = rated.get(met)
                 if rate is None:
-                    if parts is None:
-                        parts = [
-                            (tuple(block_set[b] for b in p.blocks), p.n_blocks - 1)
-                            for p in result.optimal_partitions
-                        ]
                     rate = rated[met] = _block_set_rate(met, parts, best)
                 if rate > best:
                     best, best_witness = rate, sum(1 << i for i in combo)
@@ -190,10 +156,10 @@ def growth_curve(source: SourceModel, result: MmiResult, k_max: int | None = Non
         values.append(best)
         witnesses.append(best_witness)
     if len(result.optimal_partitions) == 1:
-        for k in range(1, min(k_max, ell) + 1):
-            expected = Fraction(k - 1, ell - 1)
+        for k in range(1, min(k_max, result.ell) + 1):
+            expected = Fraction(k - 1, result.ell - 1)
             if values[k] != expected:
-                raise SkaError(
+                raise ConsistencyError(
                     f"unique-optimum shortcut disagrees with the computed curve at k={k}: "
                     f"{values[k]} != {expected}; this indicates a bug"
                 )
@@ -290,7 +256,7 @@ def critical_edges_bruteforce(source: SourceModel, result: MmiResult) -> tuple[i
     n = users.n
 
     def crosses_all(mask: int) -> bool:
-        return all(p.blocks_crossed(mask) >= 2 for p in result.optimal_partitions)
+        return all(sum(1 for b in p.blocks if b & mask) > 1 for p in result.optimal_partitions)
 
     qualifying = [mask for mask in range(1, 1 << n) if crosses_all(mask)]
     qualifying_set = set(qualifying)
@@ -304,13 +270,14 @@ def critical_edges_bruteforce(source: SourceModel, result: MmiResult) -> tuple[i
 
 def greedy_critical_edge(source: SourceModel, result: MmiResult) -> tuple[str, ...]:
     """One critical edge by the shrinking scan: start from the full set and
-    drop users in label order whenever the remainder still lies inside no
-    optimal block, i.e. still has positive growth rate."""
+    drop users in label order whenever the remainder still has positive
+    growth rate, its J unmarked in the zero table of ``result.block_space``."""
     users = source.users
+    bit, inside, _ = result.block_space
     current = users.full_mask
     for i in range(users.n):
         candidate = current & ~(1 << i)
-        if candidate and not any(candidate & ~b == 0 for b in result.optimal_blocks):
+        if candidate and not inside[block_set(bit, candidate)]:
             current = candidate
     return users.labels_of(current)
 

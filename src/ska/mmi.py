@@ -32,7 +32,7 @@ from typing import Sequence
 
 from . import kernel
 from .errors import ConsistencyError, EnumerationLimitError, GroundSetMismatchError, SkaError
-from .partitions import Partition
+from .partitions import Partition, bit_positions
 from .rationals import format_rational
 from .source_model import SourceModel, UserSet
 
@@ -47,7 +47,7 @@ class MmiResult:
     ``gap`` is the minimum of ``I_P - gamma`` over non-optimal partitions;
     ``None`` encodes +infinity, i.e. every partition is optimal (always the
     case for two users, and for degenerate sources at any size).
-    ``optimal_blocks`` (cached, not a field) answers "is this an optimal block".
+    ``optimal_blocks`` and ``block_space`` are cached, not fields.
     """
 
     users: UserSet
@@ -66,6 +66,32 @@ class MmiResult:
         """Every block of every optimal partition, as user masks."""
         return frozenset(b for p in self.optimal_partitions for b in p.blocks)
 
+    @cached_property
+    def block_space(self) -> tuple:
+        """The optimal family over the fundamental blocks, ``(bit, inside, parts)``.
+
+        Every optimal partition coarsens the fundamental partition F, so the
+        blocks a subset S meets in it depend only on J(S), the mask of F's
+        blocks that S meets: the OR of ``bit[i]`` over the users i in S.
+        ``inside[J]`` is set when J lies within one optimal block (a
+        down-closed table of 2^ell flags); ``parts`` holds each optimal
+        partition as ``(J mask of each block, |P| - 1)``."""
+        bit = [0] * self.users.n
+        for j, block in enumerate(self.fundamental.blocks):
+            for i in bit_positions(block):
+                bit[i] = 1 << j
+        met = {b: block_set(bit, b) for b in self.optimal_blocks}
+        marked = set(met.values())
+        inside = bytearray(mask in marked for mask in range(1 << self.ell))
+        for j in range(self.ell):
+            for mask in range(1 << self.ell):
+                if mask >> j & 1 and inside[mask]:
+                    inside[mask ^ 1 << j] = 1
+        parts = tuple(
+            (tuple(met[b] for b in p.blocks), p.n_blocks - 1) for p in self.optimal_partitions
+        )
+        return bit, inside, parts
+
     def to_json_dict(self) -> dict:
         """The ``mmi`` and ``partitions`` payload. Each distinct block's label
         list is built once per call, and every partition that has the block
@@ -79,6 +105,12 @@ class MmiResult:
             "fundamental": self.fundamental.to_json(),
             "gap": "inf" if self.gap is None else format_rational(self.gap),
         }
+
+
+def block_set(bit, mask: int) -> int:
+    """J of ``mask``, given ``bit`` of ``MmiResult.block_space``: the mask of
+    the fundamental blocks its users lie in (distinct bits sum to their OR)."""
+    return sum({bit[i] for i in bit_positions(mask)})
 
 
 def i_p(source: SourceModel, partition: Partition) -> Fraction:

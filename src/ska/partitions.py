@@ -16,6 +16,11 @@ from .errors import GroundSetMismatchError, SkaError
 from .source_model import UserSet
 
 
+def bit_positions(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @dataclass(frozen=True)
 class Partition:
     users: UserSet
@@ -56,11 +61,6 @@ class Partition:
 
     def label_blocks(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.users.labels_of(b) for b in self.blocks)
-
-    def blocks_crossed(self, subset) -> int:
-        """Number of blocks the subset meets."""
-        mask = self.users.as_mask(subset)
-        return sum(1 for b in self.blocks if b & mask)
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of this partition sits inside a block of

@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
+from .errors import SkaError
+
 # Longest repr of a rejected value that an error message echoes in full.
 SHOWN_CHARACTERS = 40
 
@@ -46,8 +48,18 @@ def parse_rational(value: str | int) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render as ``"p/q"``, without the ``/q`` when the denominator is 1."""
-    return str(Fraction(value))
+    """Render as ``"p/q"``, without the ``/q`` when the denominator is 1.
+
+    A numerator or denominator of more than ``sys.get_int_max_str_digits()``
+    digits cannot be printed; that raises SkaError naming the bound."""
+    try:
+        return str(Fraction(value))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise SkaError(
+            f"an answer has a numerator or denominator of more than {limit} digits,"
+            " the bound on integer strings (sys.get_int_max_str_digits())"
+        ) from None
 
 
 def denominator_lcm(values: Iterable[Fraction]) -> int:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import EnumerationLimitError, SkaError
+from .partitions import bit_positions
 
 log = logging.getLogger(__name__)
 
@@ -296,18 +297,6 @@ def _sub_from_signs(x: np.ndarray) -> int:
         if value < 0.0:
             sub |= 1 << i
     return sub
-
-
-def bit_positions(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
 
 
 def _embed(sub: int, bits: tuple[int, ...]) -> int:

@@ -6,8 +6,10 @@ fractions over its own partition walk (``enumerate_partitions``; no integer
 rescaling, no kernel), ``ip_by_edge_crossings`` recomputes partition rates
 from edge-crossing counts instead of entropies, and
 ``measured_rate_by_rescan`` replays a perturbation with a full ``mmi``
-instead of the subset core, and ``growth_curve_by_subsets`` rates every
-subset with ``growth_rate`` instead of working on sets of fundamental
+instead of the subset core. ``growth_rate_by_partitions`` and
+``loss_rate_by_partitions`` walk every optimal partition instead of reading
+``MmiResult.block_space``, and ``growth_curve_by_subsets`` rates every
+subset with the first of them instead of working on sets of fundamental
 blocks. ``zero_sets`` and ``ResidualFunction`` are the
 table-side and formula-side views of g that the structure tests compare with
 ``MmiResult.optimal_blocks``. No ``ska`` command reaches any of these, so
@@ -271,9 +273,32 @@ def measured_rate_by_rescan(source, result, mask, mode, eps):
     return measured, set(new.optimal_partitions) <= set(result.optimal_partitions)
 
 
+def crossings(partition: ska.Partition, mask: int) -> int:
+    """Number of blocks of ``partition`` that ``mask`` meets."""
+    return sum(1 for b in partition.blocks if b & mask)
+
+
+def growth_rate_by_partitions(result, mask: int) -> Fraction:
+    """Growth-rate oracle: min over optimal partitions P of
+    ``(blocks crossed - 1) / (|P| - 1)``; 0 for the empty subset."""
+    if mask == 0:
+        return Fraction(0)
+    return min(
+        Fraction(crossings(p, mask) - 1, p.n_blocks - 1) for p in result.optimal_partitions
+    )
+
+
+def loss_rate_by_partitions(result, mask: int) -> Fraction:
+    """Loss-rate oracle: max over optimal partitions of
+    ``(blocks crossed - 1) / (|P| - 1)``."""
+    return max(
+        Fraction(crossings(p, mask) - 1, p.n_blocks - 1) for p in result.optimal_partitions
+    )
+
+
 def growth_curve_by_subsets(source, result, k_max=None) -> tuple[tuple, tuple]:
     """Curve oracle: ``(values, witnesses)`` of the growth curve by rating
-    every subset of each size with ``growth_rate``, in
+    every subset of each size with ``growth_rate_by_partitions``, in
     ``itertools.combinations`` order; the best is replaced only on a strict
     increase, and a size stops at the ceiling 1."""
     n = source.users.n
@@ -283,7 +308,7 @@ def growth_curve_by_subsets(source, result, k_max=None) -> tuple[tuple, tuple]:
         if best < 1:
             for combo in itertools.combinations(range(n), k):
                 mask = sum(1 << i for i in combo)
-                rate = ska.growth_rate(source, result, mask)
+                rate = growth_rate_by_partitions(result, mask)
                 if rate > best:
                     best, best_witness = rate, mask
                     if best == 1:
@@ -298,7 +323,7 @@ def ip_by_edge_crossings(source: HypergraphicalSource, partition: Partition) -> 
     sum of w_e * (blocks crossed by e - 1) / (|P| - 1)."""
     total = Fraction(0)
     for mask, edge in zip(source.edge_masks, source.edges):
-        total += edge.weight * (partition.blocks_crossed(mask) - 1)
+        total += edge.weight * (crossings(partition, mask) - 1)
     return total / (partition.n_blocks - 1)
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from ska import (
+    ConsistencyError,
     HypergraphicalSource,
     MissingEdgeError,
     SkaError,
@@ -30,8 +32,11 @@ from ska.rationals import denominator_lcm
 from ska.random_instances import random_hypergraphical, random_pin
 
 from .conftest import (
+    crossings,
     growth_curve_by_subsets,
+    growth_rate_by_partitions,
     hyper,
+    loss_rate_by_partitions,
     map_partition,
     measured_rate_by_rescan,
     random_batch,
@@ -171,6 +176,52 @@ def test_growth_curve_rates_each_block_set_once_without_growth_rate(monkeypatch)
     assert curve.witnesses == (0,) * 8 + (255,)
 
 
+def test_growth_curve_raises_a_consistency_error_off_the_unique_line(pair_only, monkeypatch):
+    monkeypatch.setattr(analysis, "_block_set_rate", lambda met, parts, floor: Fraction(1, 2))
+    with pytest.raises(ConsistencyError, match="this indicates a bug"):
+        growth_curve(pair_only, mmi(pair_only))
+
+
+def test_rates_match_their_partition_oracles_on_every_subset_and_edge():
+    """Both rates read ``result.block_space``; the oracles walk every optimal
+    partition."""
+    rated = 0
+    for source in _curve_sources():
+        result = mmi(source)
+        for mask in range(1 << source.users.n):
+            assert growth_rate(source, result, mask) == growth_rate_by_partitions(result, mask)
+            rated += 1
+        if isinstance(source, HypergraphicalSource):
+            for mask in dict.fromkeys(source.edge_masks):
+                if source.has_edge(mask) > 0:
+                    assert loss_rate(source, result, mask) == loss_rate_by_partitions(result, mask)
+                    rated += 1
+    assert rated == 7813
+
+
+class _CountingTuple(tuple):
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+def test_a_full_verify_sweep_walks_the_optimal_partitions_at_most_three_times(monkeypatch):
+    """255 increments and 1 decrement on one edge over 8 users (4,139
+    optimal partitions) read the one block space, not the partition list."""
+    source = hyper(8, (tuple(str(i + 1) for i in range(8)), 1))
+    base = mmi(source)
+    monkeypatch.setattr(_CountingTuple, "iterations", 0)
+    result = dataclasses.replace(
+        base, optimal_partitions=_CountingTuple(base.optimal_partitions)
+    )
+    verdicts = [perturbation_verify(source, result, m, "increment") for m in range(1, 256)]
+    verdicts.append(perturbation_verify(source, result, 255, "decrement"))
+    assert all(v.ok for v in verdicts)
+    assert _CountingTuple.iterations <= 3
+
+
 # ---------------------------------------------------------------- critical edges
 
 def test_critical_edges_examples(pair_only, overlap3, tree4):
@@ -230,13 +281,11 @@ def test_critical_edges_cross_every_optimal_partition_minimally(tree4):
     result = mmi(tree4)
     report = critical_edges(tree4, result)
     for mask in report.edges:
-        assert all(p.blocks_crossed(mask) >= 2 for p in result.optimal_partitions)
+        assert all(crossings(p, mask) >= 2 for p in result.optimal_partitions)
         for i in range(4):
             if mask >> i & 1:
                 smaller = mask & ~(1 << i)
-                assert any(
-                    p.blocks_crossed(smaller) < 2 for p in result.optimal_partitions
-                )
+                assert any(crossings(p, smaller) < 2 for p in result.optimal_partitions)
 
 
 def test_critical_edges_accepts_precomputed_tmax(tree4):
@@ -268,16 +317,16 @@ def test_greedy_scan_lands_in_the_critical_family():
 
 
 def test_greedy_scan_matches_the_growth_rate_scan():
-    """Inside no optimal block is positive growth rate: the scan over
-    ``result.optimal_blocks`` drops the same users as the shrinking scan on
-    ``growth_rate > 0``."""
+    """Inside no optimal block is positive growth rate: the scan on the zero
+    table of ``result.block_space`` drops the same users as the shrinking
+    scan on a positive per-partition growth rate."""
 
     def scan_on_growth_rate(source, result):
         users = source.users
         current = users.full_mask
         for i in range(users.n):
             candidate = current & ~(1 << i)
-            if candidate and growth_rate(source, result, candidate) > 0:
+            if candidate and growth_rate_by_partitions(result, candidate) > 0:
                 current = candidate
         return users.labels_of(current)
 

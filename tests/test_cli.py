@@ -226,6 +226,37 @@ def test_a_rational_past_the_digit_bound_exits_2_naming_the_bound(runner, tmp_pa
     assert len(line) < 300
 
 
+# Sources whose answers pass the digit bound: gamma = 3w/2 of a triangle of
+# 4,300-digit weights has 4,301 digits, and three 4,000-digit denominators
+# give a gamma and a gap past 4,300 digits. Each maps to the command lines
+# that print such an answer.
+TRIANGLE = [["1", "2"], ["2", "3"], ["1", "3"]]
+LONG_ANSWERS = {
+    "long-weights": (
+        [{"members": m, "weight": "9" * 4300} for m in TRIANGLE],
+        [["mmi"], ["mmi", "--format", "json"], ["partitions"]],
+    ),
+    "long-denominators": (
+        [{"members": m, "weight": f"1/{10**3999 + d}"} for m, d in zip(TRIANGLE, (7, 9, 21))],
+        [["mmi"], ["mmi", "--format", "json"], ["partitions"], ["verify"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LONG_ANSWERS)
+def test_an_answer_past_the_digit_bound_exits_2_naming_the_bound(runner, tmp_path, name):
+    edges, command_lines = LONG_ANSWERS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"users": ["1", "2", "3"], "model": "hypergraph", "edges": edges}))
+    for args in command_lines:
+        result = runner.invoke(main, [*args, str(path)], catch_exceptions=False)
+        assert result.exit_code == 2, args
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and "more than 4300 digits" in line
+        assert "sys.get_int_max_str_digits()" in line
+
+
 @pytest.mark.parametrize("command", ["mmi", "validate"])
 @pytest.mark.parametrize("name", UNREADABLE_DOCUMENTS)
 def test_an_unreadable_document_exits_2_naming_its_path(runner, tmp_path, command, name):

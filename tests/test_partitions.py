@@ -141,16 +141,6 @@ def test_ground_set_mismatch_raises():
         P(users(3), ("1", "2"), ("3",)).refines(P(users(4), ("1", "2"), ("3", "4")))
 
 
-# ---------------------------------------------------------------- crossings
-
-def test_blocks_crossed_examples():
-    u = users(4)
-    singles = P(u, "1", "2", "3", "4")
-    assert singles.blocks_crossed(()) == 0
-    assert singles.blocks_crossed(("1", "4")) == 2
-    assert P(u, ("1", "2"), ("3", "4")).blocks_crossed(("1", "2")) == 1
-
-
 # ---------------------------------------------------------------- meet
 
 def test_meet_examples():
