@@ -4,12 +4,13 @@ The package computes the MMI (the secrecy capacity of multiterminal secret
 key agreement without helpers) of hypergraphical and tabulated sources, and
 analyzes how it moves when common randomness is added to or removed from
 user subsets: growth and loss rates, critical and excess edges, the
-maximal-optimal-block dichotomy, and optimal-partition uniqueness. gamma,
-the optimal partitions and the gap come from one scan over every partition
-(:mod:`ska.kernel`), checked against a subset core that also gives the
-fundamental partition (:func:`ska.mmi.mmi_core`). Every closed-form route
-has a brute-force twin in the tests, and all reported values are exact
-rationals.
+maximal-optimal-block dichotomy, and optimal-partition uniqueness. gamma
+and the fundamental partition come from a subset core
+(:func:`ska.mmi.mmi_core`), the optimal partitions from the zero sets of
+the block residual function, and the gap from a subset DP; no command
+walks all Bell(n) partitions. That scan (:mod:`ska.kernel`) is their twin
+in the tests. Every closed-form route has a brute-force twin in the tests,
+and all reported values are exact rationals.
 """
 
 from .analysis import (

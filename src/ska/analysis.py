@@ -23,7 +23,7 @@ can be pitted against each other, exactly, in tests. The replays behind
 perturbed source: each builds the perturbed integer table from the base
 table, takes gamma from the subset core :func:`ska.mmi.mmi_core`, and, at
 the default step, checks that each zero-set union of the perturbed g
-(:func:`ska.structure.zero_set_pass`) is in ``result.optimal_blocks``.
+(:func:`ska.mmi.zero_set_pass`) is in ``result.optimal_blocks``.
 """
 
 from __future__ import annotations
@@ -35,11 +35,18 @@ from fractions import Fraction
 from .errors import ConsistencyError, MissingEdgeError, SkaError
 # ``mmi`` is not called here; it stays bound because ``perfbench`` wraps
 # ``analysis.mmi`` to count calls made from this module.
-from .mmi import MmiResult, block_set, mmi, mmi_core, scaled_entropies  # noqa: F401
+from .mmi import (  # noqa: F401
+    MmiResult,
+    block_set,
+    mmi,
+    mmi_core,
+    scaled_entropies,
+    zero_set_pass,
+)
 from .partitions import bit_positions
 from .rationals import format_rational
 from .source_model import HypergraphicalSource, SourceModel, UserSet
-from .structure import TMaxReport, t_max, zero_set_pass
+from .structure import TMaxReport, t_max
 
 
 def growth_rate(source: SourceModel, result: MmiResult, subset) -> Fraction:

@@ -1,4 +1,4 @@
-"""The Bell(n) partition scan behind :func:`ska.mmi`.
+"""The Bell(n) partition scan, the tests' twin of :func:`ska.mmi`.
 
 Given integer-scaled entropies for every subset mask, scan every partition
 of the ground set with at least two blocks and minimize
@@ -7,8 +7,11 @@ of the ground set with at least two blocks and minimize
 
 using exact integer cross-multiplication throughout. Partitions are walked as
 restricted growth strings in lexicographic order; integers are Python's
-arbitrary-precision ones, so no input overflows. This is the package's only
-walk over partitions; the tests keep a separate one as its oracle.
+arbitrary-precision ones, so no input overflows. :func:`ska.mmi` no longer
+calls it: gamma, the optimal partitions and the gap come from subset work
+there. The scan stays as the oracle that ``tests/test_mmi.py`` compares
+those answers with, and because ``perfbench`` traces it and reads its lane
+names. The tests keep a separate partition walk as its own oracle.
 """
 
 from __future__ import annotations

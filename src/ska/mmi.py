@@ -6,21 +6,30 @@ The multivariate mutual information (MMI) of a source is
              I_P = (sum over blocks C of H(Z_C) - H(Z_V)) / (|P| - 1),
 
 and equals the secrecy capacity of the corresponding secret key agreement
-problem without helpers. :func:`mmi` answers with two exact routes over
-one integer table:
+problem without helpers. :func:`mmi` answers from one integer table, by
+subset work only:
 
-* an enumeration pass over all Bell(n) partitions yields gamma's value, the
-  set of all minimizing partitions, and the optimality gap that bounds how
-  far the source can be perturbed without reshuffling the minimizers;
 * the subset core :func:`mmi_core` yields gamma and the fundamental
-  partition (the unique finest minimizer), by Dinkelbach iteration over
+  partition F (the unique finest minimizer), by Dinkelbach iteration over
   Dilworth truncations at 2^n per step. Callers that need nothing else
-  (the ``verify`` replays) use it directly.
+  (the ``verify`` replays) use it directly;
+* :func:`zero_set_pass`, over the 2^ell index sets of F's blocks, yields
+  the zero sets of g. Every optimal partition coarsens F, and a partition
+  with at least two blocks is optimal exactly when each of its blocks is
+  the union of a zero index set (Chan, Al-Bashabsheh and Zhou, "Change of
+  multivariate mutual information: from local to global", IEEE Trans. IT
+  2018). The optimal partitions are therefore the set partitions of F's
+  block indices into zero index sets;
+* the optimality gap, which bounds how far the source can be perturbed
+  without reshuffling the minimizers, is the least rate of a partition
+  with a block that is not such a union. A Dinkelbach iteration finds it,
+  with a subset DP of 3^n/2 steps per step.
 
-:func:`mmi` rejects an invalid source before either route runs. The
+:func:`mmi` rejects an invalid source before any of them runs. The
 entropies are rescaled to integers (the least common multiple of the value
 denominators), once per source; gamma and the gap are converted back to
-exact rationals at the end.
+exact rationals at the end. The Bell(n) scan in :mod:`ska.kernel` is the
+tests' twin of all three answers.
 """
 
 from __future__ import annotations
@@ -30,7 +39,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from . import kernel
+# No route here calls the scan in ``kernel``; the import keeps ``ska.kernel``
+# bound, where ``perfbench`` looks it up.
+from . import kernel  # noqa: F401
 from .errors import ConsistencyError, EnumerationLimitError, GroundSetMismatchError, SkaError
 from .partitions import Partition, bit_positions
 from .rationals import format_rational
@@ -174,6 +185,166 @@ def mmi_core(ent: Sequence[int]) -> tuple[Fraction, tuple[int, ...]]:
         p, q = sum(ent[b] for b in blocks) - ent[full], len(blocks) - 1
 
 
+def zero_set_pass(
+    ent: Sequence[int], gamma: Fraction, blocks: tuple[int, ...]
+) -> tuple[list[int], list[int]]:
+    """Zero index sets of g over ``blocks``, ascending, and the union mask
+    of every index set.
+
+    ``ent`` is an integer entropy table and ``gamma`` is in its units.
+    Multiplied by the denominator D of gamma, ``g * D`` is an integer. Each
+    index set B extends ``B ^ lowbit(B)`` by one block, so its union mask
+    and its sum of block residuals cost one step each.
+    """
+    ell = len(blocks)
+    den = gamma.denominator
+    gamma_d = gamma.numerator
+    residuals = [ent[mask] * den - gamma_d for mask in blocks]
+    union = [0] * (1 << ell)
+    residual_sum = [0] * (1 << ell)
+    found = [0]
+    for b in range(1, 1 << ell):
+        low = b & -b
+        rest = b ^ low
+        i = low.bit_length() - 1
+        u = union[b] = union[rest] | blocks[i]
+        r = residual_sum[b] = residual_sum[rest] + residuals[i]
+        if ent[u] * den - gamma_d == r:
+            found.append(b)
+    return found, union
+
+
+def _optimal_family(zero, union) -> list[tuple[int, ...]]:
+    """Every partition of the fundamental block indices into zero index sets
+    with at least two blocks, as tuples of user masks in ascending order.
+
+    ``zero`` flags the zero index sets and ``union`` maps an index set to
+    its user mask (both from :func:`zero_set_pass`). The block that holds
+    the lowest remaining index comes first, so each tuple is in canonical
+    block order; the heads are taken in ascending user mask and the tails of
+    each remaining index set are memoised in ascending order, so the list
+    comes out sorted, in the order of ``p.blocks``.
+    """
+    full = len(zero) - 1
+    memo = {0: [()]}
+
+    def heads(rest: int) -> list[int]:
+        low = rest & -rest
+        others = rest ^ low
+        found = []
+        sub = others
+        while True:
+            if zero[low | sub]:
+                found.append(low | sub)
+            if not sub:
+                return sorted(found, key=union.__getitem__)
+            sub = (sub - 1) & others
+
+    def tails(rest: int) -> list[tuple[int, ...]]:
+        if rest not in memo:
+            memo[rest] = [(union[z],) + t for z in heads(rest) for t in tails(rest ^ z)]
+        return memo[rest]
+
+    return [(union[z],) + t for z in heads(full) if z != full for t in tails(full ^ z)]
+
+
+def _least_bad_partition(ent: Sequence[int], good, p: int, q: int) -> tuple[int, int]:
+    """The least ``sum over blocks C of (q*h(C) - p)`` over the partitions
+    of the ground set that have a bad block, and the block count of one
+    partition that attains it.
+
+    ``good[C]`` flags the blocks of optimal partitions and the ground set.
+    ``ent`` is nonnegative and largest at the ground set, and ``p >= 0``,
+    as for an entropy table at lambda >= 0; that bounds every key. Each
+    partial sum is a key ``value * stride + block count``, so one
+    ``min`` keeps the count of a minimiser. Two states per subset S, the
+    least over partitions of S into good blocks and the least over those
+    with a bad block, recurse on the block C that holds S's lowest user:
+    3^n/2 steps over all S. The subsets of each rest ``S ^ C`` are listed
+    once and shared by every lowest user below it; only the lists of one
+    chain of rests are alive at a time, 2^n entries at most.
+    """
+    n = len(ent).bit_length() - 1
+    size = 1 << n
+    stride = n + 1
+    bound = (n * (q * ent[-1] + p) + 1) * stride  # above |key| of any partial partition
+    inf = 3 * bound  # a key that holds inf stays above 2 * bound
+    weight = [(q * e - p) * stride + 1 for e in ent]
+    bad_weight = [inf if g else w for g, w in zip(good, weight)]
+    goods_by_low: list[list[int]] = [[] for _ in range(n)]
+    for c in range(1, size):
+        if good[c]:
+            goods_by_low[(c & -c).bit_length() - 1].append(c)
+    any_key = [inf] * size
+    bad_key = [inf] * size
+    good_key = [inf] * size
+    any_key[0] = good_key[0] = 0
+    chain = [(0, [0])]
+    for rest in range(0, size, 2):
+        low = rest & -rest or size
+        if rest:
+            while chain[-1][0] != rest ^ low:
+                chain.pop()
+            subs = chain[-1][1]
+            subs = subs + [r | low for r in subs]
+            chain.append((rest, subs))
+        else:
+            subs = [0]
+        bit = 1
+        while bit < low:
+            s = rest | bit
+            best_bad = min([bad_weight[s ^ r] + any_key[r] for r in subs])
+            best_good = inf
+            heads = goods_by_low[bit.bit_length() - 1]
+            if len(heads) < len(subs):
+                heads = [c for c in heads if c | s == s]
+            else:
+                heads = [s ^ r for r in subs if good[s ^ r]]
+            for c in heads:
+                w = weight[c]
+                r = s ^ c
+                if w + bad_key[r] < best_bad:
+                    best_bad = w + bad_key[r]
+                if w + good_key[r] < best_good:
+                    best_good = w + good_key[r]
+            bad_key[s] = best_bad
+            good_key[s] = best_good
+            any_key[s] = min(best_bad, best_good)
+            bit <<= 1
+    return divmod(bad_key[-1], stride)
+
+
+def _gap(ent: Sequence[int], gamma: Fraction, good) -> Fraction | None:
+    """The optimality gap in table units; ``None`` when every nonempty
+    subset is good, so that every partition is optimal.
+
+    Dinkelbach iteration over the partitions with a bad block: at
+    lambda = p/q, :func:`_least_bad_partition` gives the least
+    ``q*(sum h(C) - h(V)) - p*(|P| - 1)``; lambda moves to the rate of its
+    minimiser until the rate stays, and is then the least rate of a
+    partition outside the optimal family. The first step, at
+    lambda = gamma, checks that family: a partition with a bad block that
+    rates gamma or less raises. A partition of good blocks rates gamma
+    exactly, once F does, so no partition rates below gamma either.
+    """
+    if all(good[1:]):
+        return None
+    whole = ent[-1]
+    lam = gamma
+    while True:
+        p, q = lam.numerator, lam.denominator
+        value, count = _least_bad_partition(ent, good, p, q)
+        rate = Fraction(value + p * count - q * whole, q * (count - 1))
+        if lam == gamma and rate <= gamma:
+            raise ConsistencyError(
+                "a partition outside the optimal family rates gamma or less; "
+                "this indicates a bug"
+            )
+        if rate == lam:
+            return rate - gamma
+        lam = rate
+
+
 def check_enumeration_cap(n: int, cap: int | None) -> None:
     """Raise EnumerationLimitError when ``n`` users exceed ``cap`` (default
     12), the ground-set bound of :func:`mmi`."""
@@ -189,39 +360,50 @@ def mmi(source: SourceModel, *, cap: int | None = None) -> MmiResult:
 
     Above ``cap`` users (default 12) the call raises EnumerationLimitError,
     and on an invalid source a SkaError with its validation report, before
-    any other work. A scan over all Bell(n) - 1 multi-block partitions gives
-    gamma, the optimal partitions and the gap; :func:`mmi_core` gives the
-    fundamental partition. The scan took 0.41 s at n=10, 2.4 s at n=11 and
-    14.8 s at n=12 on random hypergraphs (Python 3.11.7, one Xeon core), and
-    each further user multiplies that by Bell(n+1)/Bell(n), 6.6 at n=13.
+    any other work. Every field is computed here, eagerly:
 
-    The scan's minimisers are block-mask tuples that are already disjoint,
-    covering and in canonical block order, so they are sorted as tuples
-    (the order of ``p.blocks``) and each becomes a :class:`Partition`
-    without the checks of the public constructor. On one edge over 10 users
-    (115,974 optimal partitions) that step takes 0.13 s on the same core,
-    against 0.44 s for the checked constructor and a sort by ``p.blocks``.
+    * gamma and F from :func:`mmi_core`, 2^n steps per Dinkelbach step;
+    * the zero index sets from :func:`zero_set_pass`, 2^ell steps; each
+      one's union marks a good block in a table of 2^n flags. F must rate
+      gamma, which makes the full index set a zero set;
+    * the gap from :func:`_gap`, 3^n/2 steps per Dinkelbach step. Its first
+      step, at gamma, also checks the optimal family;
+    * the optimal partitions from :func:`_optimal_family`, one tuple each,
+      in the order of ``p.blocks``. Their blocks are disjoint, covering and
+      in canonical order, so each becomes a :class:`Partition` without the
+      checks of the public constructor.
+
+    A failed check raises ConsistencyError. On random hypergraphs (Python
+    3.11.7, one Xeon core) the call takes about 0.013 s at n=10, 0.03 s at
+    n=11 and 0.14 s at n=12, where the Bell(n) scan took 0.41 s, 2.4 s and
+    14.8 s. On one edge over 10 users (115,974 optimal partitions) it takes
+    0.13-0.16 s, two thirds of it building the Partition objects. The cap
+    now bounds the size of the optimal list: one edge over 12 users has
+    4,213,597 optimal partitions.
     """
     users = source.users
-    n = users.n
-    check_enumeration_cap(n, cap)
+    check_enumeration_cap(users.n, cap)
     report = source.validate()
     if not report.ok:
         raise SkaError(f"not a valid source:\n{report}")
     ent, scale = scaled_entropies(source)
-    best_num, best_den, minimizers, run_num, run_den, has_run = (
-        kernel.minimize_over_partitions(n, ent)
-    )
-    gamma = Fraction(best_num, best_den) / scale
-    core_gamma, blocks = mmi_core(ent)
-    if core_gamma / scale != gamma:
-        raise ConsistencyError("subset core and scan disagree on gamma; this indicates a bug")
-    optimal = tuple(Partition._from_canonical(users, found) for found in sorted(minimizers))
-    gap = Fraction(run_num, run_den) / scale - gamma if has_run else None
+    gamma, blocks = mmi_core(ent)
+    found, union = zero_set_pass(ent, gamma, blocks)
+    zero = bytearray(len(union))
+    good = bytearray(len(ent))
+    for index_set in found[1:]:
+        zero[index_set] = 1
+        good[union[index_set]] = 1
+    if not zero[-1]:
+        raise ConsistencyError(
+            "the fundamental partition does not rate gamma; this indicates a bug"
+        )
+    gap = _gap(ent, gamma, good)
+    optimal = tuple(Partition._from_canonical(users, t) for t in _optimal_family(zero, union))
     return MmiResult(
         users=users,
-        gamma=gamma,
+        gamma=gamma / scale,
         optimal_partitions=optimal,
         fundamental=Partition(users, blocks),
-        gap=gap,
+        gap=None if gap is None else gap / scale,
     )

@@ -3,9 +3,10 @@
 A partition is a tuple of disjoint block bitmasks covering the ground set,
 kept in canonical order (ascending minimum element), so equality and hashing
 are syntactic. The one walk over all partitions is the scan in
-:mod:`ska.kernel`. ``Partition(users, blocks)`` checks and sorts its
-blocks; :func:`ska.mmi` builds the scan's minimisers, which are canonical
-already, through the unchecked ``Partition._from_canonical``.
+:mod:`ska.kernel`, which only the tests call. ``Partition(users, blocks)``
+checks and sorts its blocks; :func:`ska.mmi` builds the optimal family,
+whose blocks are canonical by construction, through the unchecked
+``Partition._from_canonical``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class Partition:
     @classmethod
     def _from_canonical(cls, users: UserSet, blocks: tuple[int, ...]) -> "Partition":
         """A partition from blocks that are already disjoint, covering and in
-        canonical order, as the scan in :mod:`ska.kernel` emits them; the
+        canonical order, as :func:`ska.mmi` builds the optimal family; the
         checks of ``__post_init__`` are skipped."""
         partition = object.__new__(cls)
         object.__setattr__(partition, "users", users)

@@ -14,12 +14,13 @@ partitions at once (maximal blocks, uniqueness) into questions about the
 zero sets of g.
 
 By default both answers read ``MmiResult.optimal_blocks``.
-:func:`zero_set_pass` finds the zero sets in one exact integer pass over the
-2^ell index sets; ``verify`` runs it on perturbed tables, and the tests
-check it against ``optimal_blocks``. The same questions can also be asked
-as submodular function minimizations over interval families, solved by the
-min-norm-point method (``method="greedy"`` and ``method="sfm"``); that
-route is kept as the independently tested twin.
+:func:`ska.mmi.zero_set_pass` finds the zero sets in one exact integer pass
+over the 2^ell index sets; :func:`ska.mmi` builds the optimal partitions
+from them, and ``verify`` runs the pass on perturbed tables. The same
+questions can also be asked as submodular function minimizations over
+interval families, solved by the min-norm-point method
+(``method="greedy"`` and ``method="sfm"``); that route is kept as the
+independently tested twin.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ConsistencyError, SkaError
-from .mmi import MmiResult
+# ``zero_set_pass`` lives in ``mmi``, which builds the optimal family with it;
+# the import keeps ``ska.structure.zero_set_pass`` resolving.
+from .mmi import MmiResult, zero_set_pass  # noqa: F401
 from .partitions import Partition
 from .source_model import SourceModel, UserSet
 from .submodular import (
@@ -111,35 +114,6 @@ def g_rounding_unit(source: SourceModel, ell: int) -> Fraction:
     """A grid unit dividing every value of g: 1 / (denominator LCM of the
     source values times (ell - 1)!)."""
     return Fraction(1, source.integer_table[1] * factorial(max(ell - 1, 1)))
-
-
-def zero_set_pass(
-    ent: list[int], gamma: Fraction, blocks: tuple[int, ...]
-) -> tuple[list[int], list[int]]:
-    """Zero index sets of g over ``blocks``, ascending, and the union mask
-    of every index set.
-
-    ``ent`` is an integer entropy table and ``gamma`` is in its units.
-    Multiplied by the denominator D of gamma, ``g * D`` is an integer. Each
-    index set B extends ``B ^ lowbit(B)`` by one block, so its union mask
-    and its sum of block residuals cost one step each.
-    """
-    ell = len(blocks)
-    den = gamma.denominator
-    gamma_d = gamma.numerator
-    residuals = [ent[mask] * den - gamma_d for mask in blocks]
-    union = [0] * (1 << ell)
-    residual_sum = [0] * (1 << ell)
-    found = [0]
-    for b in range(1, 1 << ell):
-        low = b & -b
-        rest = b ^ low
-        i = low.bit_length() - 1
-        u = union[b] = union[rest] | blocks[i]
-        r = residual_sum[b] = residual_sum[rest] + residuals[i]
-        if ent[u] * den - gamma_d == r:
-            found.append(b)
-    return found, union
 
 
 def _mnp_value(result: MnpResult) -> Fraction:

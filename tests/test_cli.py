@@ -9,10 +9,13 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from ska import EntropyTable, HypergraphicalSource, Partition, analysis
+import ska.kernel as kernel
+from ska import EntropyTable, HypergraphicalSource, Partition, analysis, mmi
 from ska.analysis import perturbation_verify, zero_set_pass
 from ska.cli import main
 from ska.mmi import MmiResult
+from ska.random_instances import random_hypergraphical
+
 from .conftest import (
     CORPUS,
     NON_LIST_DOCUMENTS,
@@ -63,9 +66,30 @@ def test_verify_passes_over_the_whole_corpus(runner):
         assert result.exit_code == 0, f"{name}: {result.output}"
 
 
+def test_commands_run_without_the_partition_scan(runner, monkeypatch):
+    """No command enters the Bell(n) scan: with it patched to raise, every
+    corpus document runs ``mmi``, ``partitions`` and ``verify`` in both
+    formats, and ``mmi()`` answers on an 11-user random hypergraph."""
+
+    def no_scan(*args):
+        raise AssertionError("the Bell(n) partition scan was entered")
+
+    monkeypatch.setattr(kernel, "minimize_over_partitions", no_scan)
+    for name in CORPUS_FILES:
+        for command in ("mmi", "partitions", "verify"):
+            for fmt in ("text", "json"):
+                path = str(CORPUS / f"{name}.json")
+                result = runner.invoke(main, [command, "--format", fmt, path])
+                assert result.exit_code == 0, f"{command} {fmt} {name}: {result.output}"
+    source = random_hypergraphical(random.Random(11), 11)
+    assert mmi(source).fundamental.users.n == 11
+
+
 def test_verify_reads_the_original_optimal_blocks_once(runner, tmp_path, monkeypatch):
-    """A full ``ska verify`` builds ``optimal_blocks`` once and runs the
-    zero-set pass only on perturbed tables, at most once per replay."""
+    """A full ``ska verify`` builds ``optimal_blocks`` once, and the
+    analysis layer's own zero-set passes run only on perturbed tables, at
+    most once per replay (``mmi()`` runs its pass under ``ska.mmi``'s
+    name)."""
     table = random_non_coverage_table(random.Random(5), 4)
     table_path = tmp_path / "table.json"
     table_path.write_text(json.dumps(table.to_json_dict()))

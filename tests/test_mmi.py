@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import ska
 import ska.kernel as kernel
 from ska import (
+    ConsistencyError,
     EntropyTable,
     EnumerationLimitError,
     SkaError,
@@ -18,7 +19,7 @@ from ska import (
     mmi,
     pin_source,
 )
-from ska.mmi import mmi_core, scaled_entropies
+from ska.mmi import mmi_core, scaled_entropies, zero_set_pass
 from ska.rationals import format_rational
 from ska.random_instances import random_hypergraphical, random_pin
 
@@ -396,11 +397,11 @@ def test_subset_core_matches_scan_and_reference_on_400_sources():
         n = rng.randint(3 if make is random_non_coverage_table else 2, 8)
         source = make(rng, n)
         gamma, fundamental = core(source)
-        result = mmi(source)
-        assert (gamma, fundamental) == (result.gamma, result.fundamental)
+        scan_gamma, _, optimal = scan(source)
+        assert gamma == scan_gamma
         # F comes from the core; the scan's list checks it independently.
-        assert fundamental in result.optimal_partitions
-        assert all(fundamental.refines(p) for p in result.optimal_partitions)
+        assert fundamental in optimal
+        assert all(fundamental.refines(p) for p in optimal)
         if n <= 6:
             ref_gamma, _, ref_finest, _ = mmi_reference(source)
             assert (gamma, fundamental) == (ref_gamma, ref_finest)
@@ -421,3 +422,171 @@ def core_sources(draw):
 def test_subset_core_matches_oracle_on_generated_sources(source):
     gamma, _, finest, _ = mmi_reference(source)
     assert core(source) == (gamma, finest)
+
+
+# ---------------------------------------------------------------- the scan as twin
+
+def scan(source):
+    """gamma, the gap and the ordered optimal partitions from the Bell(n)
+    scan in ``ska.kernel``, which ``mmi()`` no longer calls."""
+    ent, scale = scaled_entropies(source)
+    best_num, best_den, found, run_num, run_den, has_run = kernel.minimize_over_partitions(
+        source.users.n, ent
+    )
+    gamma = Fraction(best_num, best_den) / scale
+    gap = Fraction(run_num, run_den) / scale - gamma if has_run else None
+    return gamma, gap, tuple(Partition(source.users, blocks) for blocks in sorted(found))
+
+
+def assert_matches_the_scan(source):
+    result = mmi(source)
+    gamma, gap, optimal = scan(source)
+    finest = max(optimal, key=lambda p: p.n_blocks)
+    assert (result.gamma, result.gap, result.fundamental) == (gamma, gap, finest)
+    assert result.optimal_partitions == optimal
+    return result
+
+
+def _scan_twin_sources():
+    """400 sources at n = 2..8: one edge over all users, path, star, cycle
+    and complete graph at every n, then random hypergraphs, PINs, trees and
+    non-coverage tables in turn."""
+    sources = []
+    for n in range(2, 9):
+        u = users(n)
+        sources.append(hyper(n, (tuple(u.labels), 1)))
+        sources.append(pin_source([(i, i + 1, 1) for i in range(1, n)], users=u))
+        sources.append(pin_source([(1, i, 1) for i in range(2, n + 1)], users=u))
+        if n >= 3:
+            sources.append(pin_source([(i, i % n + 1, 1) for i in range(1, n + 1)], users=u))
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        sources.append(pin_source([(i, j, 1) for i, j in pairs], users=u))
+    rng = random.Random(38)
+    makers = (random_hypergraphical, random_pin, random_tree_pin, random_non_coverage_table)
+    k = 0
+    while len(sources) < 400:
+        make = makers[k % 4]
+        sources.append(make(rng, rng.randint(3 if make is random_non_coverage_table else 2, 8)))
+        k += 1
+    return sources
+
+
+def test_mmi_matches_the_scan_on_400_sources():
+    """gamma, the gap (``None`` included), F and the ordered optimal tuple
+    equal the scan's; the exact-fraction oracle also checks n <= 6. One
+    10-user hypergraph and one 10-user non-coverage table close the run."""
+    sources = _scan_twin_sources()
+    assert len(sources) == 400
+    assert {s.users.n for s in sources} == set(range(2, 9))
+    assert sum(isinstance(s, EntropyTable) for s in sources) >= 80
+    gaps = []
+    for source in sources:
+        result = assert_matches_the_scan(source)
+        gaps.append(result.gap)
+        if source.users.n <= 6:
+            gamma, optimal, finest, gap = mmi_reference(source)
+            assert (result.gamma, result.optimal_partitions, result.fundamental, result.gap) == (
+                gamma,
+                optimal,
+                finest,
+                gap,
+            )
+    assert None in gaps and any(gap is not None for gap in gaps)
+    rng = random.Random(10)
+    for source in (random_hypergraphical(rng, 10), random_non_coverage_table(rng, 10)):
+        assert_matches_the_scan(source)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(core_sources())
+def test_mmi_matches_the_scan_on_generated_sources(source):
+    assert_matches_the_scan(source)
+
+
+def _least_bad_by_walk(ent, flags, p, q):
+    """The least ``(sum of q*h(C) - p, block count)`` over the partitions
+    with a block that ``flags`` does not mark, by a walk over all of them."""
+    n = len(ent).bit_length() - 1
+    return min(
+        (sum(q * ent[b] - p for b in part.blocks), part.n_blocks)
+        for part in enumerate_partitions(users(n))
+        if not all(flags[b] for b in part.blocks)
+    )
+
+
+def test_least_bad_partition_matches_a_walk_over_every_partition():
+    """The gap step's minimum over partitions with a bad block, and the
+    block count of its minimiser, equal those of a walk over every
+    partition: on sources with their good blocks, at gamma and at a rate
+    above it where some blocks weigh below 0; and on arbitrary nonnegative
+    tables, largest at the ground set, with arbitrary flags."""
+    least_bad = importlib.import_module("ska.mmi")._least_bad_partition
+    rng = random.Random(39)
+    makers = (random_hypergraphical, random_pin, random_tree_pin, random_non_coverage_table)
+    checked = 0
+    for k in range(80):
+        source = makers[k % 4](rng, rng.randint(3, 7))
+        ent, _ = scaled_entropies(source)
+        gamma, blocks = mmi_core(ent)
+        found, union = zero_set_pass(ent, gamma, blocks)
+        good = bytearray(len(ent))
+        for index_set in found[1:]:
+            good[union[index_set]] = 1
+        if all(good[1:]):
+            continue
+        for lam in (gamma, gamma + Fraction(rng.randint(1, 2 * ent[-1] + 2), rng.randint(1, 3))):
+            p, q = lam.numerator, lam.denominator
+            assert least_bad(ent, good, p, q) == _least_bad_by_walk(ent, good, p, q)
+            checked += 1
+    assert checked >= 100
+    for _ in range(1500):
+        n = rng.randint(2, 5)
+        ent = [0] + [rng.randint(0, 9) for _ in range(1, 1 << n)]
+        ent[-1] = max(ent)
+        flags = bytearray(rng.random() < 0.6 for _ in ent)
+        if all(flags[1:]):
+            continue
+        p, q = rng.randint(0, 20), rng.randint(1, 3)
+        assert least_bad(ent, flags, p, q) == _least_bad_by_walk(ent, flags, p, q)
+
+
+# ---------------------------------------------------------------- consistency
+
+def _patch_core(monkeypatch, change):
+    """Make ``mmi()`` read ``change(ent, gamma, blocks)`` from its core."""
+    mmi_module = importlib.import_module("ska.mmi")  # ``ska.mmi`` is the function
+
+    def patched(ent):
+        return change(ent, *mmi_core(ent))
+
+    monkeypatch.setattr(mmi_module, "mmi_core", patched)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_core_gamma_one_unit_off_raises_a_consistency_error(monkeypatch, shift, base3, tree4):
+    """gamma one unit too high or too low, in its own denominator: F no
+    longer rates gamma."""
+    sources = [base3, tree4, hyper(3, (("1", "2", "3"), 1))]
+    sources.append(random_non_coverage_table(random.Random(4), 5))
+    _patch_core(
+        monkeypatch,
+        lambda ent, gamma, blocks: (Fraction(gamma.numerator + shift, gamma.denominator), blocks),
+    )
+    for source in sources:
+        with pytest.raises(ConsistencyError, match="this indicates a bug"):
+            mmi(source)
+
+
+def test_a_core_answer_that_is_not_optimal_raises_a_consistency_error(monkeypatch, base3, overlap3):
+    """F and its own rate, but not the least rate: the split 12|3 rates
+    below it. F optimal but not the finest: 1|2|3 falls outside the family
+    and rates gamma."""
+    singletons = (0b001, 0b010, 0b100)
+    _patch_core(monkeypatch, lambda ent, gamma, blocks: (Fraction(3, 2), singletons))
+    assert i_p(base3, Partition(base3.users, singletons)) == Fraction(3, 2)
+    assert base3.integer_table[1] == 1
+    with pytest.raises(ConsistencyError, match="this indicates a bug"):
+        mmi(base3)
+    _patch_core(monkeypatch, lambda ent, gamma, blocks: (gamma, (0b011, 0b100)))
+    with pytest.raises(ConsistencyError, match="this indicates a bug"):
+        mmi(overlap3)

@@ -27,11 +27,12 @@ def test_perfbench_tracer_installs_and_traces_a_report(monkeypatch, tree4):
         "source_model.validate",
         "mmi.mmi",
         "mmi.scaled_entropies",
-        "kernel.scan",
         "structure.t_max",
         "structure.is_unique_optimal",
         "analysis.growth_curve",
     } <= {span[0] for span in tracer.spans}
+    # The tracer still wraps the Bell(n) scan, but mmi() no longer calls it.
+    assert "kernel.scan" not in {span[0] for span in tracer.spans}
 
 
 def test_perfbench_tracer_traces_verify_and_mmi(monkeypatch, tree4):

@@ -33,6 +33,7 @@ PERFBENCH = "perfbench looks it up; deleting it fails every benchmark run"
 ALLOWLIST = {
     "kernel.default_backend": PERFBENCH + " (run.py)",
     "kernel.available_backends": PERFBENCH + " (run.py)",
+    "kernel.minimize_over_partitions": PERFBENCH + " (tracing.py)",
     "mmi.i_p": PERFBENCH + " (reference.py)",
     "analysis.critical_edges_bruteforce": PERFBENCH + " (reference.py)",
     "partitions.Partition.refines": PERFBENCH + " (reference.py)",
