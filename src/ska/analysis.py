@@ -384,7 +384,9 @@ def perturbation_verify(
     Each replay runs the subset core (:func:`ska.mmi.mmi_core`) on the
     perturbed integer table, not :func:`ska.mmi.mmi`: it needs gamma of the
     perturbed source and, at the default step only, the containment of its
-    optimal partitions, which is decided on zero sets.
+    optimal partitions, which is decided on zero sets. The core starts at
+    the original fundamental partition's rate in the perturbed table, near
+    the perturbed gamma; every start reaches the same answer.
     """
     users = source.users
     mask = users.as_mask(subset)
@@ -439,7 +441,7 @@ def _measured_rate(table, result, mask, mode, eps, *, containment=False):
     all optimal already; ``table`` is ``scaled_entropies`` of the source."""
     sign = 1 if mode == "increment" else -1
     new_table = _perturbed_table(table, mask, sign * eps)
-    gamma, blocks = mmi_core(new_table[0])
+    gamma, blocks = mmi_core(new_table[0], result.fundamental.blocks)
     measured = sign * (gamma / new_table[1] - result.gamma) / eps
     if not containment:
         return measured, None

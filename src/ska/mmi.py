@@ -22,8 +22,9 @@ subset work only:
   block indices into zero index sets;
 * the optimality gap, which bounds how far the source can be perturbed
   without reshuffling the minimizers, is the least rate of a partition
-  with a block that is not such a union. A Dinkelbach iteration finds it,
-  with a subset DP of 3^n/2 steps per step.
+  with a block that is not such a union. A Dinkelbach iteration finds it
+  from above, started at the least rate of a few cheap such partitions,
+  with a subset DP of 3^(n-1)/2 steps per step; it mostly takes one step.
 
 :func:`mmi` rejects an invalid source before any of them runs. The
 entropies are rescaled to integers (the least common multiple of the value
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 # No route here calls the scan in ``kernel``; the import keeps ``ska.kernel``
@@ -143,7 +145,9 @@ def scaled_entropies(source: SourceModel) -> tuple[tuple[int, ...], int]:
     return source.integer_table
 
 
-def mmi_core(ent: Sequence[int]) -> tuple[Fraction, tuple[int, ...]]:
+def mmi_core(
+    ent: Sequence[int], start: Sequence[int] | None = None
+) -> tuple[Fraction, tuple[int, ...]]:
     """gamma and the fundamental partition from an integer entropy table.
 
     ``ent[mask]`` is a scaled entropy (as from :func:`scaled_entropies`) of a
@@ -152,13 +156,18 @@ def mmi_core(ent: Sequence[int]) -> tuple[Fraction, tuple[int, ...]]:
     ``x_j = min over B within users 0..j-1 of q*h(B+j) - p - x(B)`` runs
     over 2^n subsets in all, and merging j with every block that meets the
     least minimiser yields the finest partition minimising
-    ``sum over blocks C of (q*h(C) - p)``. Starting from I_P of the
-    singletons, lambda moves to I_P of that partition until the minimum is
-    ``q*h(V) - p``; then lambda is gamma and the partition is fundamental.
+    ``sum over blocks C of (q*h(C) - p)``. Starting from I_P of ``start``
+    (block masks of a partition with at least two blocks; the singletons
+    when ``None``), lambda moves to I_P of that partition until the minimum
+    is ``q*h(V) - p``; then lambda is gamma and the partition is
+    fundamental. Every start rates gamma or more, so each start gives the
+    same answer; one near the answer saves steps.
     """
     n = len(ent).bit_length() - 1
     full = (1 << n) - 1
-    p, q = sum(ent[1 << i] for i in range(n)) - ent[full], n - 1
+    if start is None:
+        start = [1 << i for i in range(n)]
+    p, q = sum(ent[b] for b in start) - ent[full], len(start) - 1
     while True:
         xs = [0]
         blocks: list[int] = []
@@ -259,10 +268,12 @@ def _least_bad_partition(ent: Sequence[int], good, p: int, q: int) -> tuple[int,
     partial sum is a key ``value * stride + block count``, so one
     ``min`` keeps the count of a minimiser. Two states per subset S, the
     least over partitions of S into good blocks and the least over those
-    with a bad block, recurse on the block C that holds S's lowest user:
-    3^n/2 steps over all S. The subsets of each rest ``S ^ C`` are listed
-    once and shared by every lowest user below it; only the lists of one
-    chain of rests are alive at a time, 2^n entries at most.
+    with a bad block, recurse on the block C that holds S's lowest user.
+    Every rest ``S ^ C`` then lacks user 0, so the states are kept for the
+    subsets of the other users, and the ground set is combined from them
+    once at the end: 3^(n-1)/2 + 2^(n-1) steps. The subsets of each rest
+    are listed once and shared by every lowest user below it; only the
+    lists of one chain of rests are alive at a time, 2^n entries at most.
     """
     n = len(ent).bit_length() - 1
     size = 1 << n
@@ -279,9 +290,12 @@ def _least_bad_partition(ent: Sequence[int], good, p: int, q: int) -> tuple[int,
     bad_key = [inf] * size
     good_key = [inf] * size
     any_key[0] = good_key[0] = 0
+    top = size - 2  # the ground set without user 0
     chain = [(0, [0])]
     for rest in range(0, size, 2):
         low = rest & -rest or size
+        if low == 2 and rest != top:
+            continue  # its one set, rest | 1, holds user 0 and is never read
         if rest:
             while chain[-1][0] != rest ^ low:
                 chain.pop()
@@ -290,7 +304,7 @@ def _least_bad_partition(ent: Sequence[int], good, p: int, q: int) -> tuple[int,
             chain.append((rest, subs))
         else:
             subs = [0]
-        bit = 1
+        bit = 1 if rest == top else 2
         while bit < low:
             s = rest | bit
             best_bad = min([bad_weight[s ^ r] + any_key[r] for r in subs])
@@ -314,35 +328,58 @@ def _least_bad_partition(ent: Sequence[int], good, p: int, q: int) -> tuple[int,
     return divmod(bad_key[-1], stride)
 
 
-def _gap(ent: Sequence[int], gamma: Fraction, good) -> Fraction | None:
+def _gap(ent: Sequence[int], gamma: Fraction, good, blocks: tuple[int, ...]) -> Fraction | None:
     """The optimality gap in table units; ``None`` when every nonempty
     subset is good, so that every partition is optimal.
 
-    Dinkelbach iteration over the partitions with a bad block: at
-    lambda = p/q, :func:`_least_bad_partition` gives the least
-    ``q*(sum h(C) - h(V)) - p*(|P| - 1)``; lambda moves to the rate of its
-    minimiser until the rate stays, and is then the least rate of a
-    partition outside the optimal family. The first step, at
-    lambda = gamma, checks that family: a partition with a bad block that
-    rates gamma or less raises. A partition of good blocks rates gamma
+    Dinkelbach iteration over the partitions with a bad block, from above.
+    lambda starts at the least rate of the cheap ones, rated from the
+    table: every bipartition with a bad side (some set is bad, so one
+    exists), F (``blocks``) with one user split off its block, and F with
+    two blocks merged into a bad block. At lambda = p/q,
+    :func:`_least_bad_partition` gives the least
+    ``q*(sum h(C) - h(V)) - p*(|P| - 1)``, whose minimiser rates lambda or
+    less; lambda moves to that rate until it stays, and is then the least
+    rate of a partition outside the optimal family. That rate checks the
+    family: gamma or less raises. A partition of good blocks rates gamma
     exactly, once F does, so no partition rates below gamma either.
     """
     if all(good[1:]):
         return None
-    whole = ent[-1]
-    lam = gamma
+    full = len(ent) - 1
+    whole = ent[full]
+    bipartition = Fraction(
+        min(ent[c] + ent[full ^ c] for c in range(1, full, 2) if not good[c] or not good[full ^ c])
+        - whole
+    )
+    ell = len(blocks)
+    base = sum(ent[b] for b in blocks) - whole
+    splits = [
+        Fraction(base - ent[b] + ent[b ^ 1 << i] + ent[1 << i], ell)
+        for b in blocks
+        for i in bit_positions(b)
+        if b != 1 << i
+    ]
+    # V is good, so a bad merged block leaves at least two blocks.
+    merges = [
+        Fraction(base - ent[b] - ent[c] + ent[b | c], ell - 2)
+        for b, c in combinations(blocks, 2)
+        if not good[b | c]
+    ]
+    lam = min([bipartition, *splits, *merges])
     while True:
         p, q = lam.numerator, lam.denominator
         value, count = _least_bad_partition(ent, good, p, q)
         rate = Fraction(value + p * count - q * whole, q * (count - 1))
-        if lam == gamma and rate <= gamma:
-            raise ConsistencyError(
-                "a partition outside the optimal family rates gamma or less; "
-                "this indicates a bug"
-            )
         if rate == lam:
-            return rate - gamma
+            break
         lam = rate
+    if lam <= gamma:
+        raise ConsistencyError(
+            "a partition outside the optimal family rates gamma or less; "
+            "this indicates a bug"
+        )
+    return lam - gamma
 
 
 def check_enumeration_cap(n: int, cap: int | None) -> None:
@@ -366,19 +403,19 @@ def mmi(source: SourceModel, *, cap: int | None = None) -> MmiResult:
     * the zero index sets from :func:`zero_set_pass`, 2^ell steps; each
       one's union marks a good block in a table of 2^n flags. F must rate
       gamma, which makes the full index set a zero set;
-    * the gap from :func:`_gap`, 3^n/2 steps per Dinkelbach step. Its first
-      step, at gamma, also checks the optimal family;
+    * the gap from :func:`_gap`, 3^(n-1)/2 steps per Dinkelbach step, about
+      one step per source. Its final rate also checks the optimal family;
     * the optimal partitions from :func:`_optimal_family`, one tuple each,
       in the order of ``p.blocks``. Their blocks are disjoint, covering and
       in canonical order, so each becomes a :class:`Partition` without the
       checks of the public constructor.
 
     A failed check raises ConsistencyError. On random hypergraphs (Python
-    3.11.7, one Xeon core) the call takes about 0.013 s at n=10, 0.03 s at
-    n=11 and 0.14 s at n=12, where the Bell(n) scan took 0.41 s, 2.4 s and
-    14.8 s. On one edge over 10 users (115,974 optimal partitions) it takes
-    0.13-0.16 s, two thirds of it building the Partition objects. The cap
-    now bounds the size of the optimal list: one edge over 12 users has
+    3.11.7, one Xeon core) the call takes about 0.0012 s at n=10, 0.003 s
+    at n=11 and 0.007 s at n=12, where the Bell(n) scan took 0.41 s, 2.4 s
+    and 14.8 s. On one edge over 10 users (115,974 optimal partitions) it
+    takes 0.13-0.16 s, two thirds of it building the Partition objects. The
+    cap now bounds the size of the optimal list: one edge over 12 users has
     4,213,597 optimal partitions.
     """
     users = source.users
@@ -398,7 +435,7 @@ def mmi(source: SourceModel, *, cap: int | None = None) -> MmiResult:
         raise ConsistencyError(
             "the fundamental partition does not rate gamma; this indicates a bug"
         )
-    gap = _gap(ent, gamma, good)
+    gap = _gap(ent, gamma, good, blocks)
     optimal = tuple(Partition._from_canonical(users, t) for t in _optimal_family(zero, union))
     return MmiResult(
         users=users,

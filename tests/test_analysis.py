@@ -19,6 +19,7 @@ from ska import (
     growth_curve,
     growth_rate,
     is_excess,
+    load_source,
     loss_rate,
     mmi,
     perturbation_verify,
@@ -32,6 +33,7 @@ from ska.rationals import denominator_lcm
 from ska.random_instances import random_hypergraphical, random_pin
 
 from .conftest import (
+    CORPUS,
     crossings,
     growth_curve_by_subsets,
     growth_rate_by_partitions,
@@ -539,6 +541,62 @@ def test_replays_match_the_rescan_oracle():
             outcomes.add((eps == auto, expected[1]))
     # the default step always contains; the other steps reach both verdicts
     assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def _verify_all(source, result):
+    """The verdicts of a default ``ska verify``: every nonempty subset as an
+    increment and every distinct edge of a hypergraph as a decrement."""
+    jobs = [(mask, "increment") for mask in range(1, 1 << source.users.n)]
+    if isinstance(source, HypergraphicalSource):
+        jobs += [
+            (mask, "decrement")
+            for mask in dict.fromkeys(source.edge_masks)
+            if source.has_edge(mask) > 0
+        ]
+    return [perturbation_verify(source, result, mask, mode).to_json_dict() for mask, mode in jobs]
+
+
+def test_a_warm_started_core_matches_the_cold_core_on_every_replay_table(monkeypatch):
+    """Every table a default ``verify`` replays, at gap/2 and at the
+    integer-grid step, on hypergraphs, PINs, trees and non-coverage tables
+    at n = 3..7: the core started at F, as the replays start it, and at a
+    random partition of at least two blocks gives the cold start's gamma and
+    F. The corpus verdicts equal those of a cold-started core."""
+    replays = []
+
+    def recording(ent, start=None):
+        replays.append((ent, start))
+        return mmi_core(ent, start)
+
+    monkeypatch.setattr(analysis, "mmi_core", recording)
+    rng = random.Random(17)
+    makers = (random_hypergraphical, random_pin, random_tree_pin, random_non_coverage_table)
+    jobs = 0
+    for k in range(40):
+        source = makers[k % 4](rng, 3 + k % 5)
+        n = source.users.n
+        result = mmi(source)
+        first = len(replays)
+        jobs += len(_verify_all(source, result))
+        for ent, start in replays[first:]:
+            assert start == result.fundamental.blocks
+            cold = mmi_core(ent)
+            assert mmi_core(ent, start) == cold
+            while True:
+                labels = [rng.randrange(n) for _ in range(n)]
+                if len(set(labels)) >= 2:
+                    break
+            blocks = [sum(1 << i for i in range(n) if labels[i] == b) for b in set(labels)]
+            assert mmi_core(ent, tuple(blocks)) == cold
+    assert len(replays) > jobs  # the integer-grid step ran too
+    corpus = [
+        load_source(path)
+        for path in sorted(CORPUS.glob("*.json"))
+        if not path.name.endswith(".expected.json")
+    ]
+    warm = [_verify_all(source, mmi(source)) for source in corpus]
+    monkeypatch.setattr(analysis, "mmi_core", lambda ent, start=None: mmi_core(ent))
+    assert [_verify_all(source, mmi(source)) for source in corpus] == warm
 
 
 def test_rate_formulas_match_perturbation_on_a_small_batch():

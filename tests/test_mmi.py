@@ -539,15 +539,48 @@ def test_least_bad_partition_matches_a_walk_over_every_partition():
             assert least_bad(ent, good, p, q) == _least_bad_by_walk(ent, good, p, q)
             checked += 1
     assert checked >= 100
-    for _ in range(1500):
-        n = rng.randint(2, 5)
+    # The DP keeps no state for the sets that hold user 0 except the
+    # ground set, so user 0's singleton and the ground set take every pair
+    # of flags.
+    marked = set()
+    for k in range(1500):
+        n = rng.randint(2, 6)
         ent = [0] + [rng.randint(0, 9) for _ in range(1, 1 << n)]
         ent[-1] = max(ent)
         flags = bytearray(rng.random() < 0.6 for _ in ent)
+        flags[1], flags[-1] = k & 1, k >> 1 & 1
         if all(flags[1:]):
             continue
         p, q = rng.randint(0, 20), rng.randint(1, 3)
         assert least_bad(ent, flags, p, q) == _least_bad_by_walk(ent, flags, p, q)
+        marked.add((flags[1], flags[-1]))
+    assert marked == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_the_gap_takes_about_one_dp_step(monkeypatch):
+    """Dinkelbach starts at the least rate of the cheap partitions with a
+    bad block, so on the 400 sources of the scan twin a finite gap takes at
+    most 3 DP steps, and at most 1.25 on average. Started at gamma, it took
+    at least 2 on every such source."""
+    mmi_module = importlib.import_module("ska.mmi")
+    least_bad = mmi_module._least_bad_partition
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return least_bad(*args)
+
+    monkeypatch.setattr(mmi_module, "_least_bad_partition", counted)
+    steps = []
+    for source in _scan_twin_sources():
+        calls[0] = 0
+        if mmi(source).gap is None:
+            assert calls[0] == 0
+        else:
+            steps.append(calls[0])
+    assert len(steps) >= 300
+    assert max(steps) <= 3
+    assert sum(steps) <= 1.25 * len(steps)
 
 
 # ---------------------------------------------------------------- consistency
@@ -572,6 +605,28 @@ def test_a_core_gamma_one_unit_off_raises_a_consistency_error(monkeypatch, shift
         monkeypatch,
         lambda ent, gamma, blocks: (Fraction(gamma.numerator + shift, gamma.denominator), blocks),
     )
+    for source in sources:
+        with pytest.raises(ConsistencyError, match="this indicates a bug"):
+            mmi(source)
+
+
+@pytest.mark.parametrize("dropped", [1, -2])
+def test_an_optimal_block_left_out_of_the_family_raises_a_consistency_error(
+    monkeypatch, dropped, base3, tree4, overlap3
+):
+    """The zero-set pass loses its first or its last non-full zero index
+    set. That set's union, with the other blocks of F, forms an optimal
+    partition that now has a bad block and rates gamma: the gap's final
+    rate is gamma, and the check at the end of its loop raises."""
+    mmi_module = importlib.import_module("ska.mmi")
+
+    def dropping(ent, gamma, blocks):
+        found, union = zero_set_pass(ent, gamma, blocks)
+        del found[dropped]
+        return found, union
+
+    monkeypatch.setattr(mmi_module, "zero_set_pass", dropping)
+    sources = [base3, tree4, overlap3, random_non_coverage_table(random.Random(4), 5)]
     for source in sources:
         with pytest.raises(ConsistencyError, match="this indicates a bug"):
             mmi(source)
