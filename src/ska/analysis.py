@@ -29,6 +29,7 @@ the default step, checks that each zero-set union of the perturbed g
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,10 +65,21 @@ def growth_rate(source: SourceModel, result: MmiResult, subset) -> Fraction:
 def loss_rate(source: SourceModel, result: MmiResult, edge) -> Fraction:
     """One-sided derivative of the MMI when common randomness is removed
     from an edge the source carries: max over optimal partitions of
-    ``(blocks crossed - 1) / (|P| - 1)``, on ``result.block_space``."""
+    ``(blocks crossed - 1) / (|P| - 1)``, on ``result.block_space``.
+
+    The rates are compared as integer pairs by cross-multiplying, the scan
+    stops at the first partition that rates 1 (no partition rates more),
+    and one Fraction is built at the end."""
     bit, _, parts = result.block_space
     met = block_set(bit, _require_edge(source, edge))
-    return max(Fraction(sum(1 for b in blocks if b & met) - 1, den) for blocks, den in parts)
+    high_num, high_den = -1, 1
+    for blocks, den in parts:
+        num = sum(1 for block in blocks if block & met) - 1
+        if num * high_den > high_num * den:
+            high_num, high_den = num, den
+            if num == den:
+                break
+    return Fraction(high_num, high_den)
 
 
 def is_excess(source: SourceModel, result: MmiResult, edge) -> bool:
@@ -124,12 +136,16 @@ def growth_curve(source: SourceModel, result: MmiResult, k_max: int | None = Non
     written as J masks (:func:`_block_set_rate`), and remembered.
 
     Subsets are still visited size by size in ``itertools.combinations``
-    order, the best is replaced only on a strict increase and a size stops
-    at the ceiling 1, so each witness is the first subset in that order that
-    attains its value. When the optimal partition is unique the curve must
-    be the straight line ``(k - 1) / (ell - 1)`` up to ell; that is
-    cross-checked against the computed values and any disagreement raises,
-    since it would mean a bug.
+    order and the best is replaced only on a strict increase. Size k stops
+    at the first subset that rates its ceiling ``(min(k, ell) - 1) /
+    (ell - 1)``: F is optimal, so no J rates above ``(|J| - 1) / (ell - 1)``,
+    and k users meet at most min(k, ell) blocks. Each witness is therefore
+    the first subset in that order that attains its value.
+
+    When the optimal partition is unique the curve must be the straight
+    line ``(k - 1) / (ell - 1)`` up to ell, and it rates one block set per
+    size from 2 to ell. The line is cross-checked against the computed
+    values and any disagreement raises, since it would mean a bug.
     """
     users = source.users
     n = users.n
@@ -146,7 +162,8 @@ def growth_curve(source: SourceModel, result: MmiResult, k_max: int | None = Non
     best = Fraction(0)
     best_witness = 0
     for k in range(1, k_max + 1):
-        if best < 1:
+        ceiling = Fraction(min(k, result.ell) - 1, result.ell - 1)
+        if best < ceiling:
             for combo in itertools.combinations(range(n), k):
                 met = 0
                 for i in combo:
@@ -158,7 +175,7 @@ def growth_curve(source: SourceModel, result: MmiResult, k_max: int | None = Non
                     rate = rated[met] = _block_set_rate(met, parts, best)
                 if rate > best:
                     best, best_witness = rate, sum(1 << i for i in combo)
-                    if best == 1:
+                    if best == ceiling:
                         break
         values.append(best)
         witnesses.append(best_witness)
@@ -282,10 +299,14 @@ def greedy_critical_edge(source: SourceModel, result: MmiResult) -> tuple[str, .
     users = source.users
     bit, inside, _ = result.block_space
     current = users.full_mask
+    met = (1 << result.ell) - 1
+    left = Counter(bit)  # users of ``current`` in each fundamental block
     for i in range(users.n):
-        candidate = current & ~(1 << i)
-        if candidate and not inside[block_set(bit, candidate)]:
-            current = candidate
+        candidate = met if left[bit[i]] > 1 else met ^ bit[i]
+        if candidate and not inside[candidate]:
+            current ^= 1 << i
+            met = candidate
+            left[bit[i]] -= 1
     return users.labels_of(current)
 
 

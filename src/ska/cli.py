@@ -73,9 +73,14 @@ def _load(path: str) -> tuple[SourceModel, MmiResult]:
 
 
 def _parse_subset(raw: str) -> tuple[str, ...]:
+    """The labels of a comma-separated ``--set`` or ``--edge`` value; an
+    empty list or a label given twice is rejected."""
     labels = tuple(part.strip() for part in raw.split(",") if part.strip())
     if not labels:
         raise SkaError(f"empty subset {raw!r}")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise SkaError(f"label {label!r} is repeated in subset {raw!r}")
     return labels
 
 

@@ -50,6 +50,8 @@ from .rationals import format_rational
 from .source_model import SourceModel, UserSet
 
 DEFAULT_ENUMERATION_CAP = 12
+# Binary digits to flag bytes, for ``MmiResult.block_space``.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -87,19 +89,24 @@ class MmiResult:
         blocks a subset S meets in it depend only on J(S), the mask of F's
         blocks that S meets: the OR of ``bit[i]`` over the users i in S.
         ``inside[J]`` is set when J lies within one optimal block (a
-        down-closed table of 2^ell flags); ``parts`` holds each optimal
+        down-closed table of 2^ell flags, closed in ell passes over the
+        whole table as one big integer); ``parts`` holds each optimal
         partition as ``(J mask of each block, |P| - 1)``."""
         bit = [0] * self.users.n
         for j, block in enumerate(self.fundamental.blocks):
             for i in bit_positions(block):
                 bit[i] = 1 << j
         met = {b: block_set(bit, b) for b in self.optimal_blocks}
-        marked = set(met.values())
-        inside = bytearray(mask in marked for mask in range(1 << self.ell))
+        # Bit J of ``table`` flags J. Pass j flags J - {j} wherever J is
+        # flagged, for every J that holds block j at once (``with_j``).
+        size = 1 << self.ell
+        table = sum(1 << mask for mask in set(met.values()))
+        every = (1 << size) - 1
         for j in range(self.ell):
-            for mask in range(1 << self.ell):
-                if mask >> j & 1 and inside[mask]:
-                    inside[mask ^ 1 << j] = 1
+            half = 1 << j
+            with_j = (((1 << half) - 1) << half) * (every // ((1 << 2 * half) - 1))
+            table |= (table & with_j) >> half
+        inside = bytearray(format(table, f"0{size}b")[::-1].encode().translate(_DIGIT_FLAGS))
         parts = tuple(
             (tuple(met[b] for b in p.blocks), p.n_blocks - 1) for p in self.optimal_partitions
         )

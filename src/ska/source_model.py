@@ -217,13 +217,16 @@ class HypergraphicalSource(SourceModel):
 
     def has_edge(self, subset) -> Fraction:
         """Total weight available on edges whose member set equals the subset
-        exactly (0 when the source has no such edge)."""
-        target = self.users.as_mask(subset)
-        total = Fraction(0)
+        exactly (0 when the source has no such edge), read from one total
+        per member mask that is built once per source."""
+        return self._edge_totals.get(self.users.as_mask(subset), Fraction(0))
+
+    @functools.cached_property
+    def _edge_totals(self) -> dict[int, Fraction]:
+        totals: dict[int, Fraction] = {}
         for emask, edge in zip(self._edge_masks, self.edges):
-            if emask == target:
-                total += edge.weight
-        return total
+            totals[emask] = totals.get(emask, Fraction(0)) + edge.weight
+        return totals
 
     def increment(self, subset, epsilon) -> "HypergraphicalSource":
         epsilon = Fraction(epsilon)

@@ -10,9 +10,11 @@ instead of the subset core. ``growth_rate_by_partitions`` and
 ``loss_rate_by_partitions`` walk every optimal partition instead of reading
 ``MmiResult.block_space``, and ``growth_curve_by_subsets`` rates every
 subset with the first of them instead of working on sets of fundamental
-blocks. ``zero_sets`` and ``ResidualFunction`` are the
-table-side and formula-side views of g that the structure tests compare with
-``MmiResult.optimal_blocks``. No ``ska`` command reaches any of these, so
+blocks. ``inside_by_masks`` down-closes the zero table of the block space
+one mask at a time, and ``greedy_edge_by_block_sets`` recomputes J for
+every candidate of the shrinking scan. ``zero_sets`` and
+``ResidualFunction`` are the table-side and formula-side views of g that
+the structure tests compare with ``MmiResult.optimal_blocks``. No ``ska`` command reaches any of these, so
 they live here rather than in the package.
 """
 
@@ -37,6 +39,7 @@ from ska import (
     mmi,
     pin_source,
 )
+from ska.mmi import block_set
 from ska.random_instances import random_hypergraphical
 from ska.structure import ZssFunction, zero_set_pass
 
@@ -316,6 +319,39 @@ def growth_curve_by_subsets(source, result, k_max=None) -> tuple[tuple, tuple]:
         values.append(best)
         witnesses.append(best_witness)
     return tuple(values), tuple(witnesses)
+
+
+def inside_by_masks(result) -> bytearray:
+    """Zero-table oracle: the J masks of the optimal blocks flagged in a
+    table of 2^ell bytes, then down-closed one mask at a time, ell * 2^ell
+    steps in all."""
+    index = {}
+    for j, block in enumerate(result.fundamental.blocks):
+        for i in range(result.users.n):
+            if block >> i & 1:
+                index[i] = j
+    marked = {
+        sum({1 << index[i] for i in index if b >> i & 1}) for b in result.optimal_blocks
+    }
+    inside = bytearray(mask in marked for mask in range(1 << result.ell))
+    for j in range(result.ell):
+        for mask in range(1 << result.ell):
+            if mask >> j & 1 and inside[mask]:
+                inside[mask ^ 1 << j] = 1
+    return inside
+
+
+def greedy_edge_by_block_sets(source, result) -> tuple[str, ...]:
+    """Greedy-edge oracle: the shrinking scan in label order, with J of
+    every candidate recomputed by ``block_set`` over its users."""
+    users = source.users
+    bit, inside, _ = result.block_space
+    current = users.full_mask
+    for i in range(users.n):
+        candidate = current & ~(1 << i)
+        if candidate and not inside[block_set(bit, candidate)]:
+            current = candidate
+    return users.labels_of(current)
 
 
 def ip_by_edge_crossings(source: HypergraphicalSource, partition: Partition) -> Fraction:

@@ -35,9 +35,11 @@ from ska.random_instances import random_hypergraphical, random_pin
 from .conftest import (
     CORPUS,
     crossings,
+    greedy_edge_by_block_sets,
     growth_curve_by_subsets,
     growth_rate_by_partitions,
     hyper,
+    inside_by_masks,
     loss_rate_by_partitions,
     map_partition,
     measured_rate_by_rescan,
@@ -176,6 +178,39 @@ def test_growth_curve_rates_each_block_set_once_without_growth_rate(monkeypatch)
     assert rated == [(1 << result.ell) - 1]
     assert curve.values == (0,) * 8 + (1,)
     assert curve.witnesses == (0,) * 8 + (255,)
+
+
+@pytest.mark.parametrize(
+    "name, edges, optimal, most",
+    [
+        ("complete9", [(i, j, 1) for i in range(1, 10) for j in range(i + 1, 10)], 1, 8),
+        ("cycle9", [(i, i % 9 + 1, 1) for i in range(1, 10)], 1, 8),
+        ("path9", [(i, i + 1, 1) for i in range(1, 9)], 255, 128),
+    ],
+)
+def test_growth_curve_stops_each_size_at_its_ceiling(monkeypatch, name, edges, optimal, most):
+    """F is optimal, so no block set J rates above (|J| - 1)/(ell - 1), and
+    size k stops at the first subset that rates (min(k, ell) - 1)/(ell - 1).
+    On a unique optimum that rates one block set per size from 2 to ell:
+    ell - 1 = 8 on complete(9) and cycle(9), where a stop at rate 1 alone
+    rates 502. path(9) has 255 optimal partitions; a stop at rate 1 alone
+    rates 128 block sets there."""
+    source = pin_source(edges)
+    result = mmi(source)
+    rated = []
+    block_set_rate = analysis._block_set_rate
+
+    def counting(met, parts, floor):
+        rated.append(met)
+        return block_set_rate(met, parts, floor)
+
+    monkeypatch.setattr(analysis, "_block_set_rate", counting)
+    curve = growth_curve(source, result)
+    assert result.ell == 9 and len(result.optimal_partitions) == optimal
+    assert len(rated) <= most
+    if optimal == 1:
+        assert len(rated) == result.ell - 1
+    assert (curve.values, curve.witnesses) == growth_curve_by_subsets(source, result)
 
 
 def test_growth_curve_raises_a_consistency_error_off_the_unique_line(pair_only, monkeypatch):
@@ -345,6 +380,22 @@ def test_greedy_scan_matches_the_growth_rate_scan():
     for source in sources:
         result = mmi(source)
         assert greedy_critical_edge(source, result) == scan_on_growth_rate(source, result)
+
+
+def test_zero_table_and_greedy_edge_match_their_per_mask_oracles():
+    """The whole-table down-closure of ``block_space`` and the greedy scan
+    that keeps a user count per fundamental block equal the per-mask loops,
+    on the curve sources, one edge over 10 users and a 10-user path."""
+    ten = tuple(str(i + 1) for i in range(10))
+    sources = _curve_sources() + [
+        hyper(10, (ten, 1)),
+        pin_source([(i, i + 1, 1) for i in range(1, 10)]),
+    ]
+    for source in sources:
+        result = mmi(source)
+        assert result.block_space[1] == inside_by_masks(result)
+        assert greedy_critical_edge(source, result) == greedy_edge_by_block_sets(source, result)
+    assert result.ell == 10
 
 
 # ---------------------------------------------------------------- loss / excess

@@ -389,6 +389,27 @@ def test_absent_edge_exits_2(runner):
     assert "does not have edge" in result.output
 
 
+@pytest.mark.parametrize(
+    "argv, label, raw",
+    [
+        (["growth", "--set", "1,1", "tree.json"], "1", "1,1"),
+        (["growth", "--set", "1, 4,1", "--format", "json", "tree.json"], "1", "1, 4,1"),
+        (["loss", "--edge", "1,1,2", "base3.json"], "1", "1,1,2"),
+        (["excess", "--edge", "2,1,2", "base3.json"], "2", "2,1,2"),
+        (["verify", "--set", "1,4,4", "tree.json"], "4", "1,4,4"),
+        (["verify", "--edge", "1,2,1", "base3.json"], "1", "1,2,1"),
+        (["verify", "--set", "1,2", "--edge", "2,2", "base3.json"], "2", "2,2"),
+    ],
+)
+def test_a_label_repeated_in_a_subset_exits_2_naming_it(runner, argv, label, raw):
+    argv = [str(CORPUS / arg) if arg.endswith(".json") else arg for arg in argv]
+    result = runner.invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        f"error: label {label!r} is repeated in subset {raw!r}"
+    ]
+
+
 def test_failed_verification_identity_exits_3(runner):
     result = runner.invoke(
         main,

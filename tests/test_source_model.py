@@ -280,6 +280,54 @@ def test_has_edge_aggregates_parallel_edges():
     assert source.has_edge(("1", "2")) == Fraction(5, 6)
 
 
+def _weight_by_scan(source, mask):
+    total = Fraction(0)
+    for emask, edge in zip(source.edge_masks, source.edges):
+        if emask == mask:
+            total += edge.weight
+    return total
+
+
+def test_has_edge_totals_match_a_scan_over_the_edges():
+    """The per-mask totals, built once per source, equal a scan over the
+    edges on every mask: repeated member sets, zero and negative weights,
+    and the sources ``increment`` and ``decrement`` return, each with its
+    own totals. Building them changes neither equality nor ``repr``."""
+    rng = random.Random(40)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        u = users(n)
+        member_sets = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
+        edges = tuple(
+            WeightedEdge(
+                frozenset(u.labels_of(rng.choice(member_sets))),
+                Fraction(rng.randint(-3, 6), rng.randint(1, 4)),
+            )
+            for _ in range(rng.randint(1, 10))
+        )
+        source = HypergraphicalSource(u, edges)
+        family = [
+            source,
+            source.increment(rng.choice(member_sets), Fraction(1, 3)),
+            source.increment(rng.randrange(1, 1 << n), 1),
+        ]
+        for mask in member_sets:
+            available = _weight_by_scan(source, mask)
+            if available > 0:
+                family += [source.decrement(mask, available / 2), source.decrement(mask, available)]
+        for member in family:
+            twin = HypergraphicalSource(member.users, member.edges)
+            text = repr(member)
+            for mask in range(1 << n):
+                total = member.has_edge(mask)
+                assert type(total) is Fraction and total == _weight_by_scan(member, mask)
+                checked += 1
+            assert repr(member) == text == repr(twin)
+            assert member == twin and hash(member) == hash(twin)
+    assert checked > 5000
+
+
 # ---------------------------------------------------------------- decrement
 
 def test_decrement_removes_pair_bit(base3):
